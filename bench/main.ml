@@ -9,6 +9,7 @@
      bench/main.exe            full run (small + medium + relocation)
      bench/main.exe quick      small database and relocation only
      bench/main.exe no-bech    skip the Bechamel micro-suite
+     bench/main.exe btree      only the B-tree insert/delete kernels
      bench/main.exe --json     also emit BENCH_oo7.json (the CI
                                bench-shape baseline) from the small run
 
@@ -87,6 +88,47 @@ let deref_kernel () =
     done;
     ignore (Sys.opaque_identity !acc)
 
+(* B-tree kernels: raw wall-clock per insert and per delete on
+   full-capacity klen-8 trees, at scattered positions (the keys are an
+   odd-multiplier permutation of a counter, the shape of T3A's
+   re-indexing). The delete tree holds 30k bindings, more than the
+   Bechamel configuration below can run deletes (at most ~22k runs per
+   test), so every measured delete finds its binding. A commit and a
+   checkpoint every 4096 runs keep the WAL bounded. *)
+let btree_kernels () =
+  let server =
+    Esm.Server.create ~frames:512 ~clock:(Simclock.Clock.create ()) ~cm:Simclock.Cost_model.default ()
+  in
+  let client = Esm.Client.create ~frames:1536 server in
+  let key i = Esm.Btree.key_of_int ~klen:8 ((i * 40503) land 0xffffff) in
+  let oid i = Esm.Oid.make ~page:(1 + (i / 8)) ~slot:(i mod 8) ~unique:i () in
+  let insert t i = Esm.Btree.insert t ~key:(key i) ~oid:(oid i) in
+  Esm.Client.begin_txn client;
+  let ins_t = Esm.Btree.create client ~klen:8 and del_t = Esm.Btree.create client ~klen:8 in
+  for i = 0 to 9_999 do
+    insert ins_t i
+  done;
+  for i = 0 to 29_999 do
+    insert del_t i
+  done;
+  let every_4096 n =
+    if n land 4095 = 0 then begin
+      Esm.Client.commit client;
+      Esm.Server.checkpoint server;
+      Esm.Client.begin_txn client
+    end
+  in
+  every_4096 0;
+  let j = ref 10_000 and d = ref 0 in
+  ( (fun () ->
+      insert ins_t !j;
+      incr j;
+      every_4096 !j)
+  , fun () ->
+      ignore (Esm.Btree.delete del_t ~key:(key !d) ~oid:(oid !d));
+      incr d;
+      every_4096 !d )
+
 let run_bechamel tests =
   let open Bechamel in
   let open Toolkit in
@@ -157,6 +199,7 @@ let bechamel_suite () =
           Esm.Client.begin_txn client
         end )
   in
+  let btree_insert_kernel, btree_delete_kernel = btree_kernels () in
   let diff_kernel =
     let old_bytes = Bytes.make 8192 'a' in
     let new_bytes = Bytes.copy old_bytes in
@@ -185,6 +228,8 @@ let bechamel_suite () =
     ; Test.make ~name:"fig17/qs-cr-T1" (Staged.stage (cold qs_cr "T1"))
     ; Test.make ~name:"index_lookup" (Staged.stage index_lookup_kernel)
     ; Test.make ~name:"index_insert" (Staged.stage index_insert_kernel)
+    ; Test.make ~name:"btree_insert" (Staged.stage btree_insert_kernel)
+    ; Test.make ~name:"btree_delete" (Staged.stage btree_delete_kernel)
     ; Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ())) ]
   in
   run_bechamel tests
@@ -310,6 +355,15 @@ let () =
     let open Bechamel in
     section "Bechamel deref kernel (protected no-fault access path)";
     run_bechamel [ Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ())) ];
+    exit 0
+  end;
+  if List.mem "btree" argv then begin
+    (* Fast path for the EXPERIMENTS.md B-tree codec numbers. *)
+    let open Bechamel in
+    section "Bechamel B-tree kernels (insert and delete at scattered keys)";
+    let ins, del = btree_kernels () in
+    run_bechamel
+      [ Test.make ~name:"btree_insert" (Staged.stage ins); Test.make ~name:"btree_delete" (Staged.stage del) ];
     exit 0
   end;
   let t0 = Unix.gettimeofday () in

@@ -250,12 +250,12 @@ let json_escape s =
 let json_strings l = "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l) ^ "]"
 
 (* One function's summary as a JSON object. Only flags that are set
-   appear (the baseline stays reviewable); [io] gathers the I/O bits. *)
-let summary_json ~name ~file ~line s =
+   appear (the baseline stays reviewable); [io] gathers the I/O bits.
+   No line number: the baseline gates effect drift, not code motion. *)
+let summary_json ~name ~file s =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "{\"function\":\"%s\",\"file\":\"%s\",\"line\":%d" (json_escape name)
-       (json_escape file) line);
+    (Printf.sprintf "{\"function\":\"%s\",\"file\":\"%s\"" (json_escape name) (json_escape file));
   let acq =
     (if s.acq_page then [ "Page" ] else [])
     @ (if s.acq_file then [ "File" ] else [])

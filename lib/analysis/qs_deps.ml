@@ -63,8 +63,7 @@ let effects_json r =
       if not (Effects.is_empty s) then
         rows :=
           ( (Callgraph.display f, f.Callgraph.fn_file, f.Callgraph.fn_line)
-          , Effects.summary_json ~name:(Callgraph.display f) ~file:f.Callgraph.fn_file
-              ~line:f.Callgraph.fn_line s )
+          , Effects.summary_json ~name:(Callgraph.display f) ~file:f.Callgraph.fn_file s )
           :: !rows)
     r.graph;
   let rows = List.sort compare !rows in
@@ -73,10 +72,9 @@ let effects_json r =
   let edge_rows =
     List.map
       (fun e ->
-        Printf.sprintf "    {\"from\":\"%s\",\"to\":\"%s\",\"via\":\"%s\",\"file\":\"%s\",\"line\":%d}"
+        Printf.sprintf "    {\"from\":\"%s\",\"to\":\"%s\",\"via\":\"%s\",\"file\":\"%s\"}"
           (Effects.json_escape e.Lockorder.e_from) (Effects.json_escape e.Lockorder.e_to)
-          (Effects.json_escape e.Lockorder.via) (Effects.json_escape e.Lockorder.e_file)
-          e.Lockorder.e_line)
+          (Effects.json_escape e.Lockorder.via) (Effects.json_escape e.Lockorder.e_file))
       r.edges
   in
   Buffer.add_string b (String.concat ",\n" edge_rows);

@@ -158,11 +158,14 @@ let run ?(clients = 2) ?(txns_per_client = 18) ?(seed = 42) ?(callbacks = false)
      every materialized page (it observes, charging nothing). *)
   if snapshot then Server.set_versioning server true;
   (* Contended phase: fresh counters, a trace sink armed for the
-     digest, and one task per client. *)
+     digest, and one task per client. The sink is disarmed on the way
+     out, after the digest, also when a task died: an armed sink stays
+     reachable from Qs_trace's registry with every event it recorded. *)
   Server.reset_counters server;
   let before = Clock.snapshot clock in
   let sink = Qs_trace.create ~clock () in
   Qs_trace.arm sink;
+  Fun.protect ~finally:(fun () -> Qs_trace.disarm sink) @@ fun () ->
   let committed = Array.make clients 0 in
   let retries = Array.make clients 0 in
   let scans = Array.make clients 0 in

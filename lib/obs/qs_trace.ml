@@ -41,6 +41,7 @@ let rec find_in clock = function
   | (c, s) :: tl -> if c == clock then Some s else find_in clock tl
 
 let find clock = find_in clock !registry
+let registered () = List.length !registry
 
 let enabled clock = match find clock with Some s -> s.armed | None -> false
 

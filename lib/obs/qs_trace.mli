@@ -70,6 +70,9 @@ val disarm : t -> unit
 
 val armed : t -> bool
 
+(** Number of sinks in the registry (one per clock with an armed sink). *)
+val registered : unit -> int
+
 (** Drop all recorded events and close open spans. *)
 val clear : t -> unit
 

@@ -187,6 +187,20 @@ let test_mc_deterministic () =
   Alcotest.(check bool) "different seed, different interleaving" true
     (c.Harness.Mc.trace_digest <> a.Harness.Mc.trace_digest)
 
+(* Mc.run arms a trace sink for its digest; none may outlive the run,
+   whether it returns or raises. Run as a task of an outer scheduler,
+   Mc.run raises from its own Sched.run, after the sink is armed. *)
+let test_mc_disarms_sink () =
+  let run () = ignore (Harness.Mc.run ~clients:2 ~txns_per_client:3 ~seed:11 ()) in
+  run ();
+  Alcotest.(check int) "no sink after a run" 0 (Qs_trace.registered ());
+  let outer = Sched.create ~seed:1 ~clocks:[] () in
+  Sched.spawn outer ~name:"outer" run;
+  (match Sched.run outer with
+   | [ (_, Some (Invalid_argument _)) ] -> ()
+   | _ -> Alcotest.fail "nested Mc.run should raise Invalid_argument");
+  Alcotest.(check int) "no sink after a raise" 0 (Qs_trace.registered ())
+
 let () =
   Alcotest.run "sched"
     [ ( "interleaving"
@@ -201,5 +215,6 @@ let () =
     ; ("masking", [ Alcotest.test_case "atomically masks preemption" `Quick test_atomically_masks ])
     ; ("off-task", [ Alcotest.test_case "primitives degrade to no-ops" `Quick test_off_task_noops ])
     ; ( "end-to-end"
-      , [ Alcotest.test_case "multi-client bench is deterministic" `Quick test_mc_deterministic ] )
+      , [ Alcotest.test_case "multi-client bench is deterministic" `Quick test_mc_deterministic
+        ; Alcotest.test_case "multi-client bench disarms its sink" `Quick test_mc_disarms_sink ] )
     ]
