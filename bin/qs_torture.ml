@@ -24,8 +24,7 @@ let run seeds first clients verbose =
       Printf.printf "FAIL seed %d [%s, %d clients]: %s\n  repro: %s\n" o.Torture.seed
         o.Torture.point o.Torture.clients
         (match o.Torture.failure with Some m -> m | None -> "")
-        (Printf.sprintf "qs_torture --first-seed %d --seeds 1 --clients %d" o.Torture.seed
-           o.Torture.clients))
+        (Torture.repro ~seed:o.Torture.seed ~clients:o.Torture.clients))
     s.Torture.failed;
   (match !unfired with
    | [] -> ()
@@ -48,13 +47,18 @@ let first_seed =
   Arg.(value & opt int 0 & info [ "first-seed" ] ~docv:"SEED" ~doc:"First seed of the range.")
 
 let clients =
+  let positive s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg "expected a positive integer")
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (conv (positive, Format.pp_print_int))) None
     & info [ "clients" ] ~docv:"N"
         ~doc:
           "Concurrent clients for single-server schedules (default: 2-4 rotating with the seed; \
-           1 = the single-client schedule).")
+           1 = one client under the scheduler).")
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print one line per schedule.")
 

@@ -401,3 +401,26 @@ let resolve t ~(caller : func) comps =
 
 let find t key = Hashtbl.find_opt t.funcs key
 let iter_funcs f t = List.iter (fun k -> f (Hashtbl.find t.funcs k)) t.keys
+
+(* Membership test for the functions reachable from the [root]
+   functions through resolved call edges (breadth-first). The walk
+   ignores path policy: a helper in an exempt file still carries the
+   path into enforced code, so policy and allows apply where a finding
+   would land. *)
+let reachable t ~root =
+  let seen = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit f =
+    if not (Hashtbl.mem seen f.fn_key) then begin
+      Hashtbl.replace seen f.fn_key ();
+      Queue.add f queue
+    end
+  in
+  iter_funcs (fun f -> if root f then visit f) t;
+  while not (Queue.is_empty queue) do
+    let f = Queue.pop queue in
+    List.iter
+      (fun ev -> List.iter (fun key -> Option.iter visit (find t key)) (resolve t ~caller:f ev.comps))
+      f.events
+  done;
+  fun f -> Hashtbl.mem seen f.fn_key

@@ -2,7 +2,8 @@
    firing and halt semantics, typed I/O exceptions, client retry /
    degradation under transient faults, crash outcomes (loser vs winner,
    torn write, partial log force), and in-doubt 2PC resolution to both
-   decisions after a prepare-point crash. *)
+   decisions after a prepare-point crash; the torture harness's
+   crash-point table covers the registry, one schedule per point. *)
 
 module F = Qs_fault
 module Server = Esm.Server
@@ -11,6 +12,7 @@ module Recovery = Esm.Recovery
 module Disk = Esm.Disk
 module Clock = Simclock.Clock
 module Category = Simclock.Category
+module Torture = Harness.Torture
 
 let mk ?(frames = 128) () =
   let fault = F.create () in
@@ -285,6 +287,26 @@ let test_prepared_in_doubt_both_ways () =
   Alcotest.(check (list int)) "resolved" [] again.Recovery.in_doubt;
   Alcotest.(check string) "still committed" "committed" (read_back s oid)
 
+
+(* --- torture harness --- *)
+
+let test_torture_table () =
+  let rows = List.map (fun r -> r.Torture.point) Torture.table in
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (p ^ " has one row") 1 (List.length (List.filter (String.equal p) rows)))
+    F.Point.all;
+  Alcotest.(check int) "no row outside the registry" (List.length F.Point.all) (List.length rows)
+
+let test_torture_one_seed_per_point () =
+  let n = List.length F.Point.all in
+  let s = Torture.run_range ~first:0 ~count:n () in
+  Alcotest.(check (list string)) "no failed schedule" []
+    (List.filter_map (fun o -> o.Torture.failure) s.Torture.failed);
+  List.iter
+    (fun (p, scheduled, _) -> Alcotest.(check int) (p ^ " scheduled once") 1 scheduled)
+    s.Torture.coverage
+
 let () =
   Alcotest.run "fault"
     [ ( "plan"
@@ -308,4 +330,7 @@ let () =
         ; Alcotest.test_case "degrades after retry budget" `Quick test_degraded_after_retry_budget ] )
     ; ( "two-phase"
       , [ Alcotest.test_case "prepare crash: in-doubt both ways" `Quick
-            test_prepared_in_doubt_both_ways ] ) ]
+            test_prepared_in_doubt_both_ways ] )
+    ; ( "torture"
+      , [ Alcotest.test_case "one table row per crash point" `Quick test_torture_table
+        ; Alcotest.test_case "one seed per crash point" `Quick test_torture_one_seed_per_point ] ) ]
