@@ -10,8 +10,8 @@
      bench/main.exe quick      small database and relocation only
      bench/main.exe no-bech    skip the Bechamel micro-suite
      bench/main.exe btree      only the B-tree insert/delete kernels
-     bench/main.exe --json     also emit BENCH_oo7.json (the CI
-                               bench-shape baseline) from the small run
+     bench/main.exe --json     also write every BENCH_*.json baseline
+                               (one per Harness.Bench_json row)
 
    Everything printed to stdout is simulated and deterministic: CI
    runs this twice and byte-compares the outputs. Wall-clock chatter
@@ -204,7 +204,7 @@ let bechamel_suite () =
     let old_bytes = Bytes.make 8192 'a' in
     let new_bytes = Bytes.copy old_bytes in
     List.iter (fun i -> Bytes.set new_bytes i 'b') [ 10; 500; 501; 502; 4000; 8000 ];
-    fun () -> ignore (Quickstore.Rec_buffer.diff_regions ~old_bytes ~new_bytes ~gap:25)
+    fun () -> ignore (Qs_util.Codec.diff_regions ~old_bytes ~new_bytes ~gap:25)
   in
   let tests =
     [ Test.make ~name:"table2/txn-begin-commit"
@@ -343,6 +343,213 @@ let ablations () =
   print_endline (ablation_ptr_format ())
 
 (* ------------------------------------------------------------------ *)
+(* The human-readable tables of each BENCH baseline, printed after its
+   runs (and its JSON, under --json).                                  *)
+
+let cold s op = (Exp.get s op).Sys_.cold.Harness.Measure.ms
+
+let small_tables small_suites =
+  print_endline (Exp.fig8 small_suites);
+  print_endline (Exp.table3 small_suites);
+  print_endline (Exp.fig9 small_suites);
+  print_endline (Exp.table4 small_suites);
+  print_endline (Exp.table5 small_suites);
+  (match small_suites with
+   | qs_suite :: _ -> print_endline (Exp.table6 qs_suite)
+   | [] -> ());
+  print_endline (Exp.fig10 small_suites);
+  print_endline (Exp.fig11 small_suites);
+  print_endline (Exp.fig12 small_suites);
+  print_endline (Exp.fig13 small_suites);
+  print_endline (Exp.table7 small_suites)
+
+(* Prefetch lives in QuickStore's fault handler, group commit is
+   enabled per-store and diff shipping is a per-store commit path, so
+   E must not move at all. Cold T1 is the one run whose pre-state is
+   identical in both suites (first op on a freshly built system) and
+   therefore bit-comparable; later ops see different carried-over
+   cache/log state because the suites run different op sequences. *)
+let e_control ~e_plain e_ctrl =
+  Printf.printf "E control cold T1 %s the stock E baseline (%.1f s)\n"
+    (if cold e_ctrl "T1" = cold e_plain "T1" then "matches" else "DIVERGES FROM")
+    (cold e_ctrl "T1" /. 1000.0)
+
+let prefetch_table ~stock suites =
+  match (stock, suites) with
+  | qs_plain :: e_plain :: _, [ qs_pre; e_ctrl ] ->
+    let row (op, _) =
+      let plain = cold qs_plain op and pre = cold qs_pre op in
+      [ op
+      ; Harness.Report.seconds plain
+      ; Harness.Report.seconds pre
+      ; Printf.sprintf "%.1f%%" (100.0 *. (plain -. pre) /. plain)
+      ; Harness.Report.seconds (cold e_ctrl op) ]
+    in
+    print_endline
+      (Harness.Report.render
+         ~title:
+           "QS cold response with prefetch_run_max=8 + group commit vs stock QS (small DB); E \
+            control"
+         ~header:[ "op"; "QS (s)"; "QS+prefetch (s)"; "saved"; "E ctrl (s)" ]
+         ~rows:(List.map row qs_pre.Exp.results));
+    e_control ~e_plain e_ctrl
+  | _ -> ()
+
+let diffship_table ~stock suites =
+  match (stock, suites) with
+  | qs_plain :: e_plain :: _, [ qs_ds; e_ctrl ] ->
+    let commit_m s op =
+      match (Exp.get s op).Sys_.commit with Some c -> c | None -> Harness.Measure.zero
+    in
+    let page = Esm.Page.page_size in
+    let row op =
+      let cp = commit_m qs_plain op and cd = commit_m qs_ds op in
+      (* What the same commit would have shipped whole-page vs what the
+         region ships actually put on the wire (Fig 11's "amount of
+         recovery data" axis). *)
+      let whole_equiv =
+        (cd.Harness.Measure.client_writes + cd.Harness.Measure.region_ships) * page
+      in
+      let shipped = (cd.Harness.Measure.client_writes * page) + cd.Harness.Measure.region_bytes in
+      [ op
+      ; Harness.Report.seconds cp.Harness.Measure.ms
+      ; Harness.Report.seconds cd.Harness.Measure.ms
+      ; string_of_int (whole_equiv / 1024)
+      ; string_of_int (shipped / 1024)
+      ; (if shipped > 0 then
+           Printf.sprintf "%.1fx" (float_of_int whole_equiv /. float_of_int shipped)
+         else "-") ]
+    in
+    print_endline
+      (Harness.Report.render
+         ~title:
+           "QS commit with diff_ship: modified byte regions vs whole-page ships (small DB); E \
+            control untouched"
+         ~header:[ "op"; "commit (s)"; "commit+ds (s)"; "whole-equiv KB"; "shipped KB"; "ratio" ]
+         ~rows:(List.map row Exp.update_ops));
+    e_control ~e_plain e_ctrl
+  | _ -> ()
+
+module Mc = Harness.Mc
+
+let multi_table runs =
+  print_endline
+    (Harness.Report.render
+       ~title:
+         "N simulated clients on one server, same seed: committed work, deadlock retries and \
+          lock waits (trace digest pins the interleaving)"
+       ~header:[ "clients"; "committed"; "retries"; "lock waits"; "lock wait (s)"; "total (s)" ]
+       ~rows:
+         (List.map
+            (fun (s : Mc.stats) ->
+              [ string_of_int s.Mc.clients
+              ; string_of_int s.Mc.committed
+              ; string_of_int s.Mc.deadlock_retries
+              ; string_of_int s.Mc.lock_waits
+              ; Harness.Report.seconds s.Mc.lock_wait_ms
+              ; Harness.Report.seconds s.Mc.total_ms ])
+            runs))
+
+let callback_table runs =
+  print_endline
+    (Harness.Report.render
+       ~title:
+         "4 clients, same seed, both cache regimes: retained hits replace server page reads; \
+          recalls and group-commit rides are what the copy table costs/earns"
+       ~header:
+         [ "regime"; "committed"; "reads"; "retained hits"; "recalls"; "deferred"; "gc rides" ]
+       ~rows:
+         (List.map
+            (fun (s : Mc.stats) ->
+              [ (if s.Mc.callbacks then "callback" else "reset")
+              ; string_of_int s.Mc.committed
+              ; string_of_int s.Mc.reads
+              ; string_of_int s.Mc.retained_hits
+              ; string_of_int s.Mc.callbacks_sent
+              ; string_of_int s.Mc.callbacks_deferred
+              ; string_of_int s.Mc.gc_rides ])
+            runs));
+  match runs with
+  | [ off; on ] when off.Mc.reads > on.Mc.reads ->
+    Printf.printf "callback locking re-reads %d fewer server pages (%d -> %d)\n"
+      (off.Mc.reads - on.Mc.reads) off.Mc.reads on.Mc.reads
+  | [ off; on ] ->
+    Printf.printf "WARNING: callback locking saved no server reads (%d -> %d)\n" off.Mc.reads
+      on.Mc.reads
+  | _ -> ()
+
+let snapshot_table runs =
+  print_endline
+    (Harness.Report.render
+       ~title:
+         "4 clients, same seed, 80% read-only scans, both read regimes: snapshot bodies take no \
+          page locks, so reader waits and wound retries collapse while writer effects stay \
+          byte-identical (world digest)"
+       ~header:
+         [ "regime"; "committed"; "scans"; "retries"; "lock waits"; "lock wait (s)"; "snap reads"
+         ; "deltas" ]
+       ~rows:
+         (List.map
+            (fun (s : Mc.stats) ->
+              [ (if s.Mc.snapshot then "snapshot" else "locking")
+              ; string_of_int s.Mc.committed
+              ; string_of_int s.Mc.read_txns
+              ; string_of_int s.Mc.deadlock_retries
+              ; string_of_int s.Mc.lock_waits
+              ; Harness.Report.seconds s.Mc.lock_wait_ms
+              ; string_of_int s.Mc.snapshot_reads
+              ; string_of_int s.Mc.snapshot_deltas ])
+            runs));
+  match runs with
+  | [ locking; snap ] ->
+    Printf.printf "writer effects %s across regimes (world digest %s)\n"
+      (if String.equal locking.Mc.world_digest snap.Mc.world_digest then "byte-identical"
+       else "DIVERGE")
+      (String.sub snap.Mc.world_digest 0 12);
+    if snap.Mc.lock_waits * 5 <= locking.Mc.lock_waits then
+      Printf.printf "reader lock waits collapse %d -> %d (>= 5x)\n" locking.Mc.lock_waits
+        snap.Mc.lock_waits
+    else
+      Printf.printf "WARNING: lock waits only dropped %d -> %d (< 5x)\n" locking.Mc.lock_waits
+        snap.Mc.lock_waits
+  | _ -> ()
+
+let index_table runs =
+  let header, rows = Harness.Bench_json.index_table runs in
+  print_endline
+    (Harness.Report.render
+       ~title:
+         "200 cold lookups per scale (client cache dropped before each): the log index pays one \
+          data-page fix at any size while the small-fan-out B-tree pays its depth"
+       ~header ~rows);
+  match Harness.Bench_json.log_spread (fun r -> r.Harness.Bench_json.ir_lookup_us) runs with
+  | Some (lo, hi, spread) when spread < 2.0 ->
+    Printf.printf "log-index lookup flat across two decades: %.1f..%.1f us (spread %.2fx)\n" lo hi
+      spread
+  | Some (lo, hi, spread) ->
+    Printf.printf "WARNING: log-index lookup spread %.2fx (>= 2x): %.1f..%.1f us\n" spread lo hi
+  | None -> ()
+
+(* The stock small-database suites among the baselines run so far,
+   which the batched-I/O and diff-ship tables and the medium Table 2
+   compare against. *)
+let stock results =
+  match List.assoc_opt "BENCH_oo7.json" results with
+  | Some (Harness.Bench_json.Suites s) -> s
+  | Some _ | None -> []
+
+let report ~results file (runs : Harness.Bench_json.runs) =
+  match (file, runs) with
+  | "BENCH_oo7.json", Suites s -> small_tables s
+  | "BENCH_oo7_prefetch.json", Suites s -> prefetch_table ~stock:(stock results) s
+  | "BENCH_oo7_diffship.json", Suites s -> diffship_table ~stock:(stock results) s
+  | "BENCH_oo7_multi.json", Mc_runs r -> multi_table r
+  | "BENCH_oo7_callback.json", Mc_runs r -> callback_table r
+  | "BENCH_oo7_snapshot.json", Mc_runs r -> snapshot_table r
+  | _, Index_runs r -> index_table r
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let argv = Array.to_list Sys.argv in
@@ -371,293 +578,28 @@ let () =
     "QuickStore reproduction benchmark harness\n\
      (White & DeWitt, SIGMOD 1994; simulated 1994 testbed - see DESIGN.md)\n%!";
 
-  section "Small database";
-  (* Shared with test/test_bench_json.ml so the committed baseline and
-     the bench agree byte for byte. *)
-  let small_suites =
-    Harness.Bench_json.small_suites ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
+  (* Each BENCH baseline runs once: the same runs feed its JSON (the
+     bytes test_bench_json regenerates from the same row) and its
+     human-readable tables. *)
+  let progress m = Printf.printf "%s\n%!" m in
+  let results =
+    List.fold_left
+      (fun results (b : Harness.Bench_json.baseline) ->
+        section b.title;
+        let runs, json = b.run ~progress ~seed in
+        (match runs with Harness.Bench_json.Suites s -> validate s | _ -> ());
+        if emit_json then begin
+          let oc = open_out_bin b.file in
+          output_string oc json;
+          close_out oc;
+          Printf.printf "wrote %s\n%!" b.file
+        end;
+        print_newline ();
+        report ~results b.file runs;
+        (b.file, runs) :: results)
+      [] Harness.Bench_json.baselines
   in
-  let small = List.map (fun s -> s.Exp.sys) small_suites in
-  validate small_suites;
-  if emit_json then begin
-    let path = "BENCH_oo7.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_small ~seed small_suites);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  print_endline (Exp.fig8 small_suites);
-  print_endline (Exp.table3 small_suites);
-  print_endline (Exp.fig9 small_suites);
-  print_endline (Exp.table4 small_suites);
-  print_endline (Exp.table5 small_suites);
-  (match small_suites with
-   | qs_suite :: _ -> print_endline (Exp.table6 qs_suite)
-   | [] -> ());
-  print_endline (Exp.fig10 small_suites);
-  print_endline (Exp.fig11 small_suites);
-  print_endline (Exp.fig12 small_suites);
-  print_endline (Exp.fig13 small_suites);
-  print_endline (Exp.table7 small_suites);
-
-  section "Batched I/O (fault-time page-run prefetch + WAL group commit)";
-  let prefetch_suites =
-    Harness.Bench_json.small_prefetch_suites ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
-  in
-  validate prefetch_suites;
-  if emit_json then begin
-    let path = "BENCH_oo7_prefetch.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_small_prefetch ~seed prefetch_suites);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  (match (small_suites, prefetch_suites) with
-   | qs_plain :: e_plain :: _, [ qs_pre; e_ctrl ] ->
-     let cold s op = (Exp.get s op).Sys_.cold.Harness.Measure.ms in
-     let row op =
-       let plain = cold qs_plain op and pre = cold qs_pre op in
-       [ op
-       ; Harness.Report.seconds plain
-       ; Harness.Report.seconds pre
-       ; Printf.sprintf "%.1f%%" (100.0 *. (plain -. pre) /. plain)
-       ; Harness.Report.seconds (cold e_ctrl op) ]
-     in
-     print_endline
-       (Harness.Report.render
-          ~title:
-            "QS cold response with prefetch_run_max=8 + group commit vs stock QS (small DB); E \
-             control"
-          ~header:[ "op"; "QS (s)"; "QS+prefetch (s)"; "saved"; "E ctrl (s)" ]
-          ~rows:(List.map row Harness.Bench_json.small_prefetch_ops));
-     (* Prefetch lives in QuickStore's fault handler and group commit is
-        enabled per-store, so E must not move at all. Cold T1 is the one
-        run whose pre-state is identical in both suites (first op on a
-        freshly built system) and therefore bit-comparable; later ops see
-        different carried-over cache/log state because the suites run
-        different op sequences. *)
-     Printf.printf "E control cold T1 %s the stock E baseline (%.1f s)\n"
-       (if cold e_ctrl "T1" = cold e_plain "T1" then "matches" else "DIVERGES FROM")
-       (cold e_ctrl "T1" /. 1000.0)
-   | _ -> ());
-
-  section "Diff shipping (commit ships modified byte regions, pipelined with the WAL force)";
-  let diffship_suites =
-    Harness.Bench_json.small_diffship_suites ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
-  in
-  validate diffship_suites;
-  if emit_json then begin
-    let path = "BENCH_oo7_diffship.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_small_diffship ~seed diffship_suites);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  (match (small_suites, diffship_suites) with
-   | qs_plain :: e_plain :: _, [ qs_ds; e_ctrl ] ->
-     let cold s op = (Exp.get s op).Sys_.cold.Harness.Measure.ms in
-     let commit_m s op =
-       match (Exp.get s op).Sys_.commit with Some c -> c | None -> Harness.Measure.zero
-     in
-     let page = Esm.Page.page_size in
-     let row op =
-       let cp = commit_m qs_plain op and cd = commit_m qs_ds op in
-       (* What the same commit would have shipped whole-page vs what the
-          region ships actually put on the wire (Fig 11's "amount of
-          recovery data" axis). *)
-       let whole_equiv =
-         (cd.Harness.Measure.client_writes + cd.Harness.Measure.region_ships) * page
-       in
-       let shipped = (cd.Harness.Measure.client_writes * page) + cd.Harness.Measure.region_bytes in
-       [ op
-       ; Harness.Report.seconds cp.Harness.Measure.ms
-       ; Harness.Report.seconds cd.Harness.Measure.ms
-       ; string_of_int (whole_equiv / 1024)
-       ; string_of_int (shipped / 1024)
-       ; (if shipped > 0 then
-            Printf.sprintf "%.1fx" (float_of_int whole_equiv /. float_of_int shipped)
-          else "-") ]
-     in
-     print_endline
-       (Harness.Report.render
-          ~title:
-            "QS commit with diff_ship: modified byte regions vs whole-page ships (small DB); E \
-             control untouched"
-          ~header:[ "op"; "commit (s)"; "commit+ds (s)"; "whole-equiv KB"; "shipped KB"; "ratio" ]
-          ~rows:(List.map row Exp.update_ops));
-     (* Diff shipping is a per-store QuickStore commit path; E must not
-        move at all. As with the prefetch baseline, cold T1 is the one
-        bit-comparable run (first op on a freshly built system). *)
-     Printf.printf "E control cold T1 %s the stock E baseline (%.1f s)\n"
-       (if cold e_ctrl "T1" = cold e_plain "T1" then "matches" else "DIVERGES FROM")
-       (cold e_ctrl "T1" /. 1000.0)
-   | _ -> ());
-
-  section "Multi-user contention (deterministic scheduler, hot-page skew)";
-  let multi_runs =
-    Harness.Bench_json.multi_runs ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
-  in
-  if emit_json then begin
-    let path = "BENCH_oo7_multi.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_multi ~seed multi_runs);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  print_endline
-    (Harness.Report.render
-       ~title:
-         "N simulated clients on one server, same seed: committed work, deadlock retries and \
-          lock waits (trace digest pins the interleaving)"
-       ~header:[ "clients"; "committed"; "retries"; "lock waits"; "lock wait (s)"; "total (s)" ]
-       ~rows:
-         (List.map
-            (fun (s : Harness.Mc.stats) ->
-              [ string_of_int s.Harness.Mc.clients
-              ; string_of_int s.Harness.Mc.committed
-              ; string_of_int s.Harness.Mc.deadlock_retries
-              ; string_of_int s.Harness.Mc.lock_waits
-              ; Harness.Report.seconds s.Harness.Mc.lock_wait_ms
-              ; Harness.Report.seconds s.Harness.Mc.total_ms ])
-            multi_runs));
-
-  section "Callback locking (inter-transaction caching vs reset-per-txn)";
-  let callback_runs =
-    Harness.Bench_json.callback_runs ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
-  in
-  if emit_json then begin
-    let path = "BENCH_oo7_callback.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_callback ~seed callback_runs);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  print_endline
-    (Harness.Report.render
-       ~title:
-         "4 clients, same seed, both cache regimes: retained hits replace server page reads; \
-          recalls and group-commit rides are what the copy table costs/earns"
-       ~header:
-         [ "regime"; "committed"; "reads"; "retained hits"; "recalls"; "deferred"; "gc rides" ]
-       ~rows:
-         (List.map
-            (fun (s : Harness.Mc.stats) ->
-              [ (if s.Harness.Mc.callbacks then "callback" else "reset")
-              ; string_of_int s.Harness.Mc.committed
-              ; string_of_int s.Harness.Mc.reads
-              ; string_of_int s.Harness.Mc.retained_hits
-              ; string_of_int s.Harness.Mc.callbacks_sent
-              ; string_of_int s.Harness.Mc.callbacks_deferred
-              ; string_of_int s.Harness.Mc.gc_rides ])
-            callback_runs));
-  (match callback_runs with
-   | [ off; on ] when off.Harness.Mc.reads > on.Harness.Mc.reads ->
-     Printf.printf "callback locking re-reads %d fewer server pages (%d -> %d)\n"
-       (off.Harness.Mc.reads - on.Harness.Mc.reads)
-       off.Harness.Mc.reads on.Harness.Mc.reads
-   | [ off; on ] ->
-     Printf.printf "WARNING: callback locking saved no server reads (%d -> %d)\n"
-       off.Harness.Mc.reads on.Harness.Mc.reads
-   | _ -> ());
-
-  section "Snapshot reads (MVCC version chains vs locking scans, read_pct 80)";
-  let snapshot_runs =
-    Harness.Bench_json.snapshot_runs ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
-  in
-  if emit_json then begin
-    let path = "BENCH_oo7_snapshot.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_snapshot ~seed snapshot_runs);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  print_endline
-    (Harness.Report.render
-       ~title:
-         "4 clients, same seed, 80% read-only scans, both read regimes: snapshot bodies take no \
-          page locks, so reader waits and wound retries collapse while writer effects stay \
-          byte-identical (world digest)"
-       ~header:
-         [ "regime"; "committed"; "scans"; "retries"; "lock waits"; "lock wait (s)"; "snap reads"
-         ; "deltas" ]
-       ~rows:
-         (List.map
-            (fun (s : Harness.Mc.stats) ->
-              [ (if s.Harness.Mc.snapshot then "snapshot" else "locking")
-              ; string_of_int s.Harness.Mc.committed
-              ; string_of_int s.Harness.Mc.read_txns
-              ; string_of_int s.Harness.Mc.deadlock_retries
-              ; string_of_int s.Harness.Mc.lock_waits
-              ; Harness.Report.seconds s.Harness.Mc.lock_wait_ms
-              ; string_of_int s.Harness.Mc.snapshot_reads
-              ; string_of_int s.Harness.Mc.snapshot_deltas ])
-            snapshot_runs));
-  (match snapshot_runs with
-   | [ locking; snap ] ->
-     Printf.printf "writer effects %s across regimes (world digest %s)\n"
-       (if String.equal locking.Harness.Mc.world_digest snap.Harness.Mc.world_digest then
-          "byte-identical"
-        else "DIVERGE")
-       (String.sub snap.Harness.Mc.world_digest 0 12);
-     if snap.Harness.Mc.lock_waits * 5 <= locking.Harness.Mc.lock_waits then
-       Printf.printf "reader lock waits collapse %d -> %d (>= 5x)\n" locking.Harness.Mc.lock_waits
-         snap.Harness.Mc.lock_waits
-     else
-       Printf.printf "WARNING: lock waits only dropped %d -> %d (< 5x)\n"
-         locking.Harness.Mc.lock_waits snap.Harness.Mc.lock_waits
-   | _ -> ());
-
-  section "Log-structured index (flat lookup vs B-tree depth)";
-  let index_runs =
-    Harness.Bench_json.index_runs ~progress:(fun m -> Printf.printf "%s\n%!" m) ~seed ()
-  in
-  if emit_json then begin
-    let path = "BENCH_index.json" in
-    let oc = open_out_bin path in
-    output_string oc (Harness.Bench_json.render_index ~seed index_runs);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end;
-  print_newline ();
-  print_endline
-    (Harness.Report.render
-       ~title:
-         "200 cold lookups per scale (client cache dropped before each): the log index pays one \
-          data-page fix at any size while the small-fan-out B-tree pays its depth"
-       ~header:
-         [ "system"; "bindings"; "insert us"; "lookup us"; "reads/lookup"; "merges"; "log tail" ]
-       ~rows:
-         (List.map
-            (fun (r : Harness.Bench_json.index_run) ->
-              [ r.Harness.Bench_json.ir_system
-              ; string_of_int r.Harness.Bench_json.ir_n
-              ; Harness.Report.f1 r.Harness.Bench_json.ir_insert_us
-              ; Harness.Report.f1 r.Harness.Bench_json.ir_lookup_us
-              ; Harness.Report.f1 r.Harness.Bench_json.ir_lookup_reads
-              ; string_of_int r.Harness.Bench_json.ir_generation
-              ; string_of_int r.Harness.Bench_json.ir_log_len ])
-            index_runs));
-  (let log_runs =
-     List.filter (fun r -> r.Harness.Bench_json.ir_system = "log") index_runs
-   in
-   match log_runs with
-   | first :: _ ->
-     let us r = r.Harness.Bench_json.ir_lookup_us in
-     let lo = List.fold_left (fun a r -> Float.min a (us r)) (us first) log_runs in
-     let hi = List.fold_left (fun a r -> Float.max a (us r)) (us first) log_runs in
-     if hi < lo *. 2.0 then
-       Printf.printf "log-index lookup flat across two decades: %.1f..%.1f us (spread %.2fx)\n" lo
-         hi (hi /. lo)
-     else
-       Printf.printf "WARNING: log-index lookup spread %.2fx (>= 2x): %.1f..%.1f us\n" (hi /. lo)
-         lo hi
-   | [] -> ());
+  let small = List.map (fun s -> s.Exp.sys) (stock results) in
 
   if not quick then begin
     section "Medium database";

@@ -45,7 +45,6 @@ val max_segment_capacity : int
 
 (** {2 Bitmap-object codec: one bit per 32-bit word of the page} *)
 
-val bitmap_bits : int
 val bitmap_object_size : int
 val encode_bitmap : Qs_util.Bitset.t -> bytes
 val decode_bitmap : bytes -> Qs_util.Bitset.t

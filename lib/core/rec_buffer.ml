@@ -1,5 +1,3 @@
-[@@@qs_lint.allow "QS001"] (* the diff engine: byte-compares page snapshots, below the VM layer *)
-
 type t = {
   capacity_bytes : int;
   mutable used : int;
@@ -8,7 +6,6 @@ type t = {
 
 let create ~capacity_bytes = { capacity_bytes; used = 0; entries = Hashtbl.create 64 }
 let capacity_bytes t = t.capacity_bytes
-let used_bytes t = t.used
 let count t = Hashtbl.length t.entries
 let mem t page_id = Hashtbl.mem t.entries page_id
 let would_overflow t = t.used + Esm.Page.page_size > t.capacity_bytes
@@ -33,50 +30,5 @@ let clear t =
   Hashtbl.reset t.entries;
   t.used <- 0
 
-let diff_regions ~old_bytes ~new_bytes ~gap =
-  let n = Bytes.length old_bytes in
-  if Bytes.length new_bytes <> n then invalid_arg "Rec_buffer.diff_regions: length mismatch";
-  let regions = ref [] in
-  (* Walk once, tracking the open region; a clean gap shorter than
-     [gap] does not close it (cheaper as one record than two). *)
-  let rec scan i current =
-    if i >= n then begin
-      match current with Some (s, e) -> regions := (s, e - s) :: !regions | None -> ()
-    end
-    else begin
-      let differs = Bytes.get old_bytes i <> Bytes.get new_bytes i in
-      match (current, differs) with
-      | None, false -> scan (i + 1) None
-      | None, true -> scan (i + 1) (Some (i, i + 1))
-      | Some (s, e), true -> scan (i + 1) (Some (s, max e (i + 1)))
-      | Some (s, e), false ->
-        if i - e >= gap then begin
-          regions := (s, e - s) :: !regions;
-          scan (i + 1) None
-        end
-        else scan (i + 1) (Some (s, e))
-    end
-  in
-  scan 0 None;
-  List.rev !regions
-
 let log_bytes_of_regions regions =
   List.fold_left (fun acc (_, len) -> acc + Esm.Wal.header_bytes + (2 * len)) 0 regions
-
-(* QSan shadow check: would replaying [regions] out of [new_bytes]
-   onto [old_bytes] reproduce [new_bytes] exactly? I.e., does the
-   coalesced diff account for every differing byte of the full-page
-   comparison? Regions must be ascending (as [diff_regions] emits). *)
-let regions_cover ~old_bytes ~new_bytes regions =
-  let n = Bytes.length old_bytes in
-  Bytes.length new_bytes = n
-  &&
-  let rec go i regions =
-    if i >= n then true
-    else
-      match regions with
-      | (off, len) :: rest when i >= off + len -> go i rest
-      | (off, len) :: _ when i >= off && i < off + len -> go (i + 1) regions
-      | _ -> Bytes.get old_bytes i = Bytes.get new_bytes i && go (i + 1) regions
-  in
-  go 0 regions

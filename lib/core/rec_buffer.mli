@@ -2,8 +2,8 @@
 
     On the first write fault of a page, the fault handler copies the
     page's original bytes here. At commit — or earlier, when the buffer
-    fills or the page is evicted — old and new values are compared and
-    log records generated. The coalescing rule minimizes logged bytes:
+    fills or the page is evicted — old and new values are compared
+    ({!Qs_util.Codec.diff_regions}) and log records generated. The coalescing rule minimizes logged bytes:
     two modified regions are merged into one record when the clean gap
     between them is smaller than the ~50-byte log-record header. *)
 
@@ -11,7 +11,6 @@ type t
 
 val create : capacity_bytes:int -> t
 val capacity_bytes : t -> int
-val used_bytes : t -> int
 val count : t -> int
 val mem : t -> int -> bool
 
@@ -28,19 +27,7 @@ val take : t -> int -> bytes option
 val iter : (page_id:int -> baseline:bytes -> unit) -> t -> unit
 val clear : t -> unit
 
-(** [diff_regions ~old_bytes ~new_bytes ~gap] is the list of
-    [(offset, length)] regions to log, ascending, where modified runs
-    separated by fewer than [gap] unchanged bytes are coalesced.
-    Empty when the buffers are equal. *)
-val diff_regions : old_bytes:bytes -> new_bytes:bytes -> gap:int -> (int * int) list
-
 (** Total bytes a region list would put in the log (payload counts old
     and new images plus one header per record) — the quantity the
     coalescing rule minimizes. *)
 val log_bytes_of_regions : (int * int) list -> int
-
-(** QSan shadow check: true iff replaying [regions] (ascending, as
-    {!diff_regions} emits) out of [new_bytes] onto [old_bytes] would
-    reproduce [new_bytes] byte-for-byte — i.e. the coalesced diff
-    agrees with a full-page comparison. *)
-val regions_cover : old_bytes:bytes -> new_bytes:bytes -> (int * int) list -> bool

@@ -408,9 +408,9 @@ let diff_and_log t ~page_id ~frame ~baseline =
   let baseline = t.to_disk_format ~page_id baseline in
   charge t Category.Diff (float_of_int Page.page_size *. t.cm.CM.diff_byte_us);
   let regions =
-    Rec_buffer.diff_regions ~old_bytes:baseline ~new_bytes:current ~gap:t.config.Qs_config.diff_gap
+    Qs_util.Codec.diff_regions ~old_bytes:baseline ~new_bytes:current ~gap:t.config.Qs_config.diff_gap
   in
-  if sanitize_on t && not (Rec_buffer.regions_cover ~old_bytes:baseline ~new_bytes:current regions)
+  if sanitize_on t && not (Qs_util.Codec.regions_cover ~old_bytes:baseline ~new_bytes:current regions)
   then
     San.fail ~check:"diff-shadow"
       ~subject:(Printf.sprintf "page %d" page_id)

@@ -87,10 +87,11 @@ val in_txn : t -> bool
     pages one body execution may touch.
 
     Coverage: pages known to the mapping table (touched by an earlier
-    transaction of this store, or by {!ptr_of_oid}). Requires server
-    versioning ({!Esm.Server.set_versioning}), no active update
-    transaction, VM-address pointers and a no-relocation
-    configuration; large objects are not supported inside a body. *)
+    transaction of this store, or by an index or root lookup).
+    Requires server versioning ({!Esm.Server.set_versioning}), no
+    active update transaction, VM-address pointers and a
+    no-relocation configuration; large objects are not supported
+    inside a body. *)
 val with_snapshot_read : ?frames:int -> ?max_attempts:int -> t -> (unit -> 'a) -> 'a
 
 (** A write access slipped into a snapshot-read body. *)
@@ -141,11 +142,6 @@ val index_insert : t -> string -> key:bytes -> ptr -> unit
 val index_delete : t -> string -> key:bytes -> ptr -> unit
 val index_lookup : t -> string -> key:bytes -> ptr option
 val index_range : t -> string -> lo:bytes -> hi:bytes -> (ptr -> unit) -> unit
-
-(** {2 OID conversion (used by indices and roots)} *)
-
-val oid_of_ptr : t -> ptr -> Esm.Oid.t
-val ptr_of_oid : t -> Esm.Oid.t -> ptr
 
 (** {2 Cold-run protocol and statistics} *)
 

@@ -100,7 +100,6 @@ let pin_count t f = t.pins.(f)
 let is_dirty t f = t.dirty.(f)
 let mark_dirty t f = t.dirty.(f) <- true
 let clear_dirty t f = t.dirty.(f) <- false
-let ref_bit t f = t.refs.(f)
 let set_ref_bit t f v = t.refs.(f) <- v
 
 let clock_victim t =

@@ -41,7 +41,6 @@ val pin_count : t -> int -> int
 val is_dirty : t -> int -> bool
 val mark_dirty : t -> int -> unit
 val clear_dirty : t -> int -> unit
-val ref_bit : t -> int -> bool
 val set_ref_bit : t -> int -> bool -> unit
 
 exception Buffer_full

@@ -96,7 +96,6 @@ let in_txn t = t.txn <> None
 
 (* --- callback locking: copy-table bookkeeping --- *)
 
-let callbacks_enabled t = t.cb_id <> None
 let client_id t = t.cb_id
 
 let callback_stats (t : t) =
@@ -788,11 +787,6 @@ let read_object t oid =
       lock_page t oid.Oid.page Lock_mgr.Shared;
       let off, len = checked_span t oid frame in
       Bytes.sub (page_bytes t ~frame) off len)
-
-let object_size t oid =
-  with_fixed t ~kind:Server.Data oid.Oid.page (fun frame ->
-      let _, len = checked_span t oid frame in
-      len)
 
 let update_object t oid ~off data =
   with_fixed t ~kind:Server.Data oid.Oid.page (fun frame ->

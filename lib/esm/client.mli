@@ -215,8 +215,6 @@ val create_object_new_page : t -> bytes -> Oid.t
     {!Dangling_reference} on stale OIDs. Fixes and unfixes the page. *)
 val read_object : t -> Oid.t -> bytes
 
-val object_size : t -> Oid.t -> int
-
 (** In-place partial update with ESM logging of the changed range. *)
 val update_object : t -> Oid.t -> off:int -> bytes -> unit
 
@@ -244,8 +242,6 @@ val discard_page : t -> int -> unit
     copy ({!Server.peek_page}). Idempotent; must be called outside a
     transaction. *)
 val enable_callbacks : ?sanitize:bool -> t -> unit
-
-val callbacks_enabled : t -> bool
 
 (** The server-assigned client id, once {!enable_callbacks} ran (and
     until {!crash} voids the registration). *)

@@ -73,9 +73,6 @@ type t = {
   mutable last_force_by : int option;
       (* owner of the force charged at [last_force]; a ride by a
          different owner is a cross-client group commit *)
-  mutable gc_credit : (int, float ref) Hashtbl.t;
-      (* client id -> disk-write microseconds saved by riding another
-         force (each committer's share of the group-commit win) *)
   (* --- snapshot-isolation reads (MVCC version chains) --- *)
   mutable versions : Version_store.t option;
       (* None = versioning off: every capture/push hook below is a
@@ -132,7 +129,6 @@ let create_with_disk ?(frames = 4608) ?fault ~disk ~clock ~cm () =
   ; copies = Hashtbl.create 64
   ; txn_owner = Hashtbl.create 8
   ; last_force_by = None
-  ; gc_credit = Hashtbl.create 8
   ; versions = None
   ; txn_undo = Hashtbl.create 8
   ; snapshots = Hashtbl.create 8
@@ -267,9 +263,6 @@ let peek_page t page_id dst =
   match Buf_pool.lookup t.pool page_id with
   | Some f -> Bytes.blit (Buf_pool.frame_bytes t.pool f) 0 dst 0 Page.page_size
   | None -> Disk.peek t.disk page_id dst
-
-let gc_credit_us t ~client =
-  match Hashtbl.find_opt t.gc_credit client with Some r -> !r | None -> 0.0
 
 (* Before an exclusive page grant, recall the page from every *other*
    registered holder. Runs synchronously inside the requester's (masked)
@@ -758,8 +751,6 @@ let version_chain t page_id =
 let version_bytes_retained t =
   match t.versions with None -> 0 | Some vs -> Version_store.bytes_retained vs
 
-let active_snapshots t = Hashtbl.length t.snapshots
-
 (* Oldest LSN any active snapshot can still ask for; with none active,
    every retained delta is reclaimable. *)
 let snapshot_watermark t =
@@ -949,19 +940,14 @@ let force_log ?(overlap_us = 0.0) ?committer t =
         | None -> false)
   in
   if coalesced then begin
-    (* Credit the rider its share of the saved disk write; a ride whose
-       owner differs from the charged force's owner is the cross-client
-       batching the copy-table era makes common (different clients
-       committing inside one window). *)
+    (* Count the ride; a ride whose owner differs from the charged
+       force's owner is the cross-client batching the copy-table era
+       makes common (different clients committing inside one window). *)
     t.counters.gc_rides <- t.counters.gc_rides + 1;
     (match committer with
      | Some c ->
        if t.last_force_by <> None && t.last_force_by <> Some c then
-         t.counters.gc_cross_rides <- t.counters.gc_cross_rides + 1;
-       let saved = t.cm.Simclock.Cost_model.server_disk_write_us in
-       (match Hashtbl.find_opt t.gc_credit c with
-        | Some r -> r := !r +. saved
-        | None -> Hashtbl.replace t.gc_credit c (ref saved))
+         t.counters.gc_cross_rides <- t.counters.gc_cross_rides + 1
      | None -> ());
     if Qs_trace.enabled t.clock then
       Qs_trace.with_span t.clock ~cat:"esm"
@@ -1130,7 +1116,6 @@ let crash t =
   t.registered <- Hashtbl.create 8;
   t.copies <- Hashtbl.create 64;
   t.txn_owner <- Hashtbl.create 8;
-  t.gc_credit <- Hashtbl.create 8;
   (* Version chains, captured baselines and snapshot registrations are
      volatile: a crash drops them all, and versioning itself turns off
      until the harness re-enables it after recovery (the chains must

@@ -50,11 +50,10 @@ val cost_model : t -> Simclock.Cost_model.t
 (** {2 Transactions} *)
 
 (** [begin_txn ?client t] opens a transaction. [client], passed by
-    callback-registered clients, records the owner so group-commit
-    rides can be credited to the committer ({!gc_credit_us}). *)
+    callback-registered clients, records the owner so a group-commit
+    ride by a different client than the force owner counts as a
+    cross-client ride. *)
 val begin_txn : ?client:int -> t -> int
-
-val is_active : t -> int -> bool
 
 (** Number of transactions currently active (multi-client harnesses
     gate checkpoints on this reaching zero). *)
@@ -182,10 +181,6 @@ type recall_verdict =
     endpoint. *)
 val register_client : t -> (int -> recall_verdict) -> int
 
-(** Remove a client's registration and every copy-table entry naming
-    it (also done lazily when a recall answers [Recall_dead]). *)
-val forget_client : t -> int -> unit
-
 (** [note_cached t ~client page_id] records that a registered client
     holds a copy (piggybacked on the read reply: no charge) and
     returns [true]. Returns [false] — copy {e not} tracked — for
@@ -212,11 +207,6 @@ val copies_of : t -> int -> int list
     [Disk.peek] — with no charge, no counter bump and no fault draw.
     QSan uses it to verify retained client pages byte-exact. *)
 val peek_page : t -> int -> bytes -> unit
-
-(** Disk-write microseconds saved for this committer by riding another
-    force inside the group-commit window (its share of the
-    cross-client batching win). *)
-val gc_credit_us : t -> client:int -> float
 
 (** {2 Snapshot-isolation reads (MVCC version chains)}
 
@@ -262,12 +252,6 @@ val end_snapshot : t -> snap:int -> unit
     image and requires the materialized page byte-identical modulo the
     page-LSN header stamp. Crash point: [snapshot.materialize]. *)
 val read_page_at : t -> snap:int -> ?verify:bool -> int -> bytes -> unit
-
-val active_snapshots : t -> int
-
-(** Oldest LSN any active snapshot can still read ([None] when no
-    snapshot is active — everything is reclaimable). *)
-val snapshot_watermark : t -> int64 option
 
 (** Trim all chains against the current watermark (also done by
     {!end_snapshot}). *)

@@ -1,4 +1,4 @@
-[@@@qs_lint.allow "QS001"] (* server-side diffing/patching of version images; no VM below this layer *)
+[@@@qs_lint.allow "QS001"] (* server-side patching of version images; no VM below this layer *)
 
 (* Per-page version chains for snapshot-isolation reads.
 
@@ -76,7 +76,6 @@ let create ?(max_deltas = 16) ~enable_lsn () =
 let stats t = t.stats
 let enable_lsn t = t.enable_lsn
 let chain t page = Hashtbl.find_opt t.chains page
-let chain_count t = Hashtbl.length t.chains
 
 (* Last committed version of [page]: the chain head if one is live,
    the retained stamp if the chain was reclaimed, the enable LSN if
@@ -90,23 +89,11 @@ let bytes_retained t =
   Hashtbl.fold (fun _ c a -> a + c.bytes_retained) t.chains 0
 
 (* Undo regions: maximal runs where [current] differs from [baseline],
-   payload taken from [baseline] (the same coalescing walk as the
-   diff-ship commit, but inverted to capture the old bytes). *)
+   payload taken from [baseline]. *)
 let undo_regions ~baseline ~current =
-  let n = Bytes.length baseline in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if Bytes.get baseline !i <> Bytes.get current !i then begin
-      let start = !i in
-      while !i < n && Bytes.get baseline !i <> Bytes.get current !i do
-        incr i
-      done;
-      out := (start, Bytes.sub baseline start (!i - start)) :: !out
-    end
-    else incr i
-  done;
-  List.rev !out
+  List.map
+    (fun (off, len) -> (off, Bytes.sub baseline off len))
+    (Qs_util.Codec.diff_regions ~old_bytes:baseline ~new_bytes:current ~gap:0)
 
 let drop_oldest c =
   match List.rev c.deltas with

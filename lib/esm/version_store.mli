@@ -49,11 +49,6 @@ val create : ?max_deltas:int -> enable_lsn:int64 -> unit -> t
 val stats : t -> stats
 val enable_lsn : t -> int64
 val chain : t -> int -> chain option
-val chain_count : t -> int
-
-(** Last committed version of a page (the enable LSN if never updated
-    since versioning began; retained across chain reclamation). *)
-val page_version : t -> int -> int64
 
 (** Total bytes held across all chains (base images + delta payloads). *)
 val bytes_retained : t -> int

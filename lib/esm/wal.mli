@@ -23,8 +23,6 @@ type record =
 (** Bytes of header per record; payload is [old|new] for updates. *)
 val header_bytes : int
 
-val record_bytes : record -> int
-
 type t
 
 val create : unit -> t

@@ -146,7 +146,6 @@ let clear_halt t = t.halt <- false
 let hit_count t p = match Hashtbl.find_opt t.counts p with Some n -> n | None -> 0
 let fired t = t.fired_at
 let transients_injected t = t.transients
-let string_of_disk_op = function Read -> "disk_read" | Write -> "disk_write"
 
 let bump t p =
   let n = hit_count t p + 1 in

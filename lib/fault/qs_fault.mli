@@ -179,5 +179,3 @@ val fired : t -> (string * int) option
 
 (** Transient (non-crash) faults injected since the last {!arm}. *)
 val transients_injected : t -> int
-
-val string_of_disk_op : disk_op -> string

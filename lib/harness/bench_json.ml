@@ -1,57 +1,56 @@
-(** Machine-readable OO7 results: the bench-shape baseline.
-
-    [render] serializes a set of suites (per-system, per-operation
-    simulated times, I/O counts, fault counts, plus the win/loss
-    ordering of the systems on each operation) as deterministic JSON:
-    floats print as the shortest round-tripping decimal, so the file
-    is byte-stable run to run and any change to the committed
-    [BENCH_oo7.json] baseline is a real change in bench shape.
-    [small_suites] builds exactly the systems and operations
-    [bench/main.exe] uses for the small database, so the CI gate and
-    the bench agree on what the baseline is. *)
+(* The bench-shape baselines. Floats print as the shortest
+   round-tripping decimal, so every file is byte-stable run to run and
+   any change to one is a real change in bench shape. *)
 
 module Exp = Experiments
+module Qs_config = Quickstore.Qs_config
 
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+let json_float = Qs_trace.json_float
+let json_string = Qs_trace.json_string
+let field k v = Printf.sprintf "\"%s\":%s" k v
+let json_object fields = "{" ^ String.concat "," fields ^ "}"
 
-let json_string s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
+type index_run = {
+  ir_system : string;
+  ir_n : int;
+  ir_insert_us : float;
+  ir_lookup_us : float;
+  ir_lookup_reads : float;
+  ir_generation : int;
+  ir_log_len : int;
+}
+
+type runs = Suites of Exp.suite list | Mc_runs of Mc.stats list | Index_runs of index_run list
+
+type baseline = {
+  file : string;
+  title : string;
+  run : progress:(string -> unit) -> seed:int -> runs * string;
+}
+
+(* ------------------------------------------------------------------ *)
+(* OO7 suites on the small database.                                   *)
 
 (* [extra] appends suite-specific "key":value pairs to each op object
-   (the diff-ship baseline adds its region-ship counters); the default
-   appends nothing, so the shared baselines' bytes are untouched. *)
-let op_json ?(extra = fun (_ : System.run_result) -> []) (op, (r : System.run_result)) =
+   (the diff-ship baseline adds its region-ship counters). *)
+let op_json ~extra (op, (r : System.run_result)) =
   let m = r.System.cold in
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
   let opt_ms = function Some (m : Measure.t) -> json_float m.Measure.ms | None -> "null" in
-  "{"
-  ^ String.concat ","
-      ([ field "op" (json_string op)
-      ; field "cold_ms" (json_float m.Measure.ms)
-      ; field "hot_ms" (opt_ms r.System.hot)
-      ; field "commit_ms" (opt_ms r.System.commit)
-      ; field "result" (string_of_int m.Measure.result)
-      ; field "reads" (string_of_int m.Measure.client_reads)
-      ; field "reads_data" (string_of_int m.Measure.reads_data)
-      ; field "reads_map" (string_of_int m.Measure.reads_map)
-      ; field "reads_index" (string_of_int m.Measure.reads_index)
-      ; field "writes" (string_of_int m.Measure.client_writes)
-      ; field "commit_writes"
-          (string_of_int
-             (match r.System.commit with Some c -> c.Measure.client_writes | None -> 0))
-      ; field "faults" (string_of_int r.System.cold_faults) ]
-       @ extra r)
-  ^ "}"
-
-let suite_json ?extra (s : Exp.suite) =
-  Printf.sprintf "{\"name\":%s,\"db_mb\":%s,\"ops\":[%s]}"
-    (json_string s.Exp.sys.System.name)
-    (json_float (s.Exp.sys.System.db_size_mb ()))
-    (String.concat "," (List.map (op_json ?extra) s.Exp.results))
+  json_object
+    ([ field "op" (json_string op)
+     ; field "cold_ms" (json_float m.Measure.ms)
+     ; field "hot_ms" (opt_ms r.System.hot)
+     ; field "commit_ms" (opt_ms r.System.commit)
+     ; field "result" (string_of_int m.Measure.result)
+     ; field "reads" (string_of_int m.Measure.client_reads)
+     ; field "reads_data" (string_of_int m.Measure.reads_data)
+     ; field "reads_map" (string_of_int m.Measure.reads_map)
+     ; field "reads_index" (string_of_int m.Measure.reads_index)
+     ; field "writes" (string_of_int m.Measure.client_writes)
+     ; field "commit_writes"
+         (string_of_int (match r.System.commit with Some c -> c.Measure.client_writes | None -> 0))
+     ; field "faults" (string_of_int r.System.cold_faults) ]
+    @ extra r)
 
 (* Fastest-to-slowest by total response (cold + commit); ties keep the
    suite order. These are the paper's win/loss relationships — the
@@ -64,285 +63,118 @@ let ordering_json (suites : Exp.suite list) op =
   Printf.sprintf "{\"op\":%s,\"fastest_to_slowest\":[%s]}" (json_string op)
     (String.concat "," (List.map (fun (n, _) -> json_string n) sorted))
 
-let render ?extra ~benchmark ~database ~seed ~hot_reps (suites : Exp.suite list) =
+let render_suites ~extra ~benchmark ~seed ~hot_reps (suites : Exp.suite list) =
   let ops = match suites with [] -> [] | s :: _ -> List.map fst s.Exp.results in
+  let suite_json (s : Exp.suite) =
+    Printf.sprintf "{\"name\":%s,\"db_mb\":%s,\"ops\":[%s]}"
+      (json_string s.Exp.sys.System.name)
+      (json_float (s.Exp.sys.System.db_size_mb ()))
+      (String.concat "," (List.map (op_json ~extra) s.Exp.results))
+  in
   Printf.sprintf
     "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,\"hot_reps\":%d,\"systems\":[%s],\"orderings\":[%s]}\n"
-    (json_string benchmark) (json_string database) seed hot_reps
-    (String.concat "," (List.map (suite_json ?extra) suites))
+    (json_string benchmark) (json_string "small") seed hot_reps
+    (String.concat "," (List.map suite_json suites))
     (String.concat "," (List.map (ordering_json suites) ops))
 
-let small_ops = Exp.traversal_ops @ Exp.query_ops @ Exp.update_ops
+let qs config ~seed = System.make_qs ~config Oo7.Params.small ~seed
+let e ~seed = System.make_e Oo7.Params.small ~seed
 
-(* Exactly bench/main.exe's small-database section: QS, E and QS-B on
-   the small parameters, every small op, hot_reps 3. *)
-let small_suites ?(progress = fun (_ : string) -> ()) ~seed () =
-  progress "building small databases (QS, E, QS-B)...";
-  let qs = System.make_qs Oo7.Params.small ~seed in
-  let e = System.make_e Oo7.Params.small ~seed in
-  let qsb =
-    System.make_qs
-      ~config:
-        { Quickstore.Qs_config.default with
-          Quickstore.Qs_config.mode = Quickstore.Qs_config.Big_objects }
-      Oo7.Params.small ~seed
+(* Build every system first, then run [ops] on each in turn. *)
+let oo7 ?(extra = fun _ -> []) ~file ~title ~benchmark ~building ~label ~systems ~ops ~hot_reps () =
+  let run ~progress ~seed =
+    progress (Printf.sprintf "building small databases (%s)..." building);
+    let systems = List.map (fun make -> make ~seed) systems in
+    let suites =
+      List.map
+        (fun (sys : System.t) ->
+          progress (Printf.sprintf "running %s operations on %s..." label sys.System.name);
+          Exp.run_suite ~seed ~hot_reps sys ~ops)
+        systems
+    in
+    (Suites suites, render_suites ~extra ~benchmark ~seed ~hot_reps suites)
   in
-  List.map
-    (fun (sys : System.t) ->
-      progress (Printf.sprintf "running small operations on %s..." sys.System.name);
-      Exp.run_suite ~seed ~hot_reps:3 sys ~ops:small_ops)
-    [ qs; e; qsb ]
+  { file; title; run }
 
-let render_small ~seed suites = render ~benchmark:"OO7" ~database:"small" ~seed ~hot_reps:3 suites
-
-(* The batched-I/O configuration of the second baseline: fault-time
-   page-run prefetch plus WAL group commit. *)
-let prefetch_config =
-  { Quickstore.Qs_config.default with
-    Quickstore.Qs_config.prefetch_run_max = 8
-  ; Quickstore.Qs_config.group_commit = true }
-
-let small_prefetch_ops = Exp.traversal_ops @ Exp.update_ops
-
-(* The second bench-shape baseline ([BENCH_oo7_prefetch.json]): QS with
-   prefetch + group commit against a stock E control, traversals and
-   updates only (queries are index-driven and gain nothing from run
-   prefetch), hot_reps 1 — hot passes fault nothing, so one rep is
-   enough to pin their shape. E runs untouched: prefetch lives in
-   QuickStore's fault handler and group commit is enabled per-store, so
-   any drift in E's numbers between the two baselines is a bug. *)
-let small_prefetch_suites ?(progress = fun (_ : string) -> ()) ~seed () =
-  progress "building small databases (QS+prefetch, E control)...";
-  let qs = System.make_qs ~config:prefetch_config Oo7.Params.small ~seed in
-  let e = System.make_e Oo7.Params.small ~seed in
-  List.map
-    (fun (sys : System.t) ->
-      progress (Printf.sprintf "running prefetch operations on %s..." sys.System.name);
-      Exp.run_suite ~seed ~hot_reps:1 sys ~ops:small_prefetch_ops)
-    [ qs; e ]
-
-let render_small_prefetch ~seed suites =
-  render ~benchmark:"OO7+prefetch" ~database:"small" ~seed ~hot_reps:1 suites
-
-(* The diff-shipping configuration of the third baseline: commit ships
-   modified byte regions and pipelines them with the WAL force. *)
-let diffship_config =
-  { Quickstore.Qs_config.default with Quickstore.Qs_config.diff_ship = true }
-
-(* T1 rides along as a read-mostly control (its only commit traffic is
-   mapping maintenance); the update operations are where the sparse
-   writes live. *)
-let small_diffship_ops = "T1" :: Exp.update_ops
-
-(* The third bench-shape baseline ([BENCH_oo7_diffship.json]): QS with
-   diff shipping against a stock E control, hot_reps 1. As with the
-   prefetch baseline, E runs untouched — diff shipping is a per-store
-   QuickStore commit path — so E's cold T1 here must stay bit-identical
-   to the small-database baseline. *)
-let small_diffship_suites ?(progress = fun (_ : string) -> ()) ~seed () =
-  progress "building small databases (QS+diffship, E control)...";
-  let qs = System.make_qs ~config:diffship_config Oo7.Params.small ~seed in
-  let e = System.make_e Oo7.Params.small ~seed in
-  List.map
-    (fun (sys : System.t) ->
-      progress (Printf.sprintf "running diff-ship operations on %s..." sys.System.name);
-      Exp.run_suite ~seed ~hot_reps:1 sys ~ops:small_diffship_ops)
-    [ qs; e ]
-
-(* The region-ship counters this baseline exists to pin: how many dirty
-   pages the commit shipped as regions and how many payload bytes that
-   took (0 for E and for read-only ops). *)
+(* The region-ship counters the diff-ship baseline exists to pin: how
+   many dirty pages the commit shipped as regions and how many payload
+   bytes that took (0 for E and for read-only ops). *)
 let diffship_extra (r : System.run_result) =
   let ships, bytes =
     match r.System.commit with
     | Some c -> (c.Measure.region_ships, c.Measure.region_bytes)
     | None -> (0, 0)
   in
-  [ Printf.sprintf "\"commit_region_ships\":%d" ships
-  ; Printf.sprintf "\"commit_region_bytes\":%d" bytes ]
-
-let render_small_diffship ~seed suites =
-  render ~extra:diffship_extra ~benchmark:"OO7+diffship" ~database:"small" ~seed ~hot_reps:1 suites
-
-(* The multi-user contention baseline ([BENCH_oo7_multi.json]): the
-   hot-page-skew workload of [Mc] at 1, 2 and 4 simulated clients under
-   the deterministic scheduler, one seed. Unlike the single-user
-   baselines this pins scheduler behavior end to end — commit, retry
-   and lock-wait counts AND the md5 of the Chrome trace — so any drift
-   in the interleaving itself, not just the totals, fails the
-   bench-shape gate. *)
-let multi_client_counts = [ 1; 2; 4 ]
-
-let multi_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  List.map
-    (fun clients ->
-      progress (Printf.sprintf "running multi-user contention with %d client(s)..." clients);
-      Mc.run ~clients ~seed ())
-    multi_client_counts
-
-let multi_run_json (s : Mc.stats) =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  let per_client =
-    List.map
-      (fun (c : Mc.client_stats) ->
-        Printf.sprintf "{\"name\":%s,\"committed\":%d,\"retries\":%d}" (json_string c.Mc.cs_name)
-          c.Mc.cs_committed c.Mc.cs_retries)
-      s.Mc.per_client
-  in
-  "{"
-  ^ String.concat ","
-      [ field "clients" (string_of_int s.Mc.clients)
-      ; field "txns_per_client" (string_of_int s.Mc.txns_per_client)
-      ; field "committed" (string_of_int s.Mc.committed)
-      ; field "deadlock_retries" (string_of_int s.Mc.deadlock_retries)
-      ; field "lock_waits" (string_of_int s.Mc.lock_waits)
-      ; field "lock_wait_ms" (json_float s.Mc.lock_wait_ms)
-      ; field "retry_ms" (json_float s.Mc.retry_ms)
-      ; field "total_ms" (json_float s.Mc.total_ms)
-      ; field "reads" (string_of_int s.Mc.reads)
-      ; field "writes" (string_of_int s.Mc.writes)
-      ; field "per_client" ("[" ^ String.concat "," per_client ^ "]")
-      ; field "trace_events" (string_of_int s.Mc.trace_events)
-      ; field "trace_digest" (json_string s.Mc.trace_digest) ]
-  ^ "}"
-
-let render_multi ~seed runs =
-  Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,\"runs\":[%s]}\n"
-    (json_string "OO7-multi") (json_string "mc-hotskew") seed
-    (String.concat "," (List.map multi_run_json runs))
-
-(* The callback-locking baseline ([BENCH_oo7_callback.json]): the same
-   4-client hot-page workload under both cache-consistency regimes —
-   reset-per-transaction first, then callback locking — so the file
-   quantifies exactly what inter-transaction caching buys: retained
-   hits, server page reads avoided (and the bytes they would have
-   shipped), against what it costs (recall traffic). Both trace
-   digests are pinned, so the gate catches interleaving drift in
-   either regime. *)
-let callback_clients = 4
-
-let callback_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  List.map
-    (fun callbacks ->
-      progress
-        (Printf.sprintf "running %d-client contention, callback locking %s..." callback_clients
-           (if callbacks then "on" else "off"));
-      Mc.run ~clients:callback_clients ~seed ~callbacks ())
-    [ false; true ]
-
-let callback_run_json (s : Mc.stats) =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  "{"
-  ^ String.concat ","
-      [ field "mode" (json_string (if s.Mc.callbacks then "callback" else "reset"))
-      ; field "clients" (string_of_int s.Mc.clients)
-      ; field "committed" (string_of_int s.Mc.committed)
-      ; field "deadlock_retries" (string_of_int s.Mc.deadlock_retries)
-      ; field "reads" (string_of_int s.Mc.reads)
-      ; field "writes" (string_of_int s.Mc.writes)
-      ; field "retained_hits" (string_of_int s.Mc.retained_hits)
-      ; field "callbacks_sent" (string_of_int s.Mc.callbacks_sent)
-      ; field "callbacks_deferred" (string_of_int s.Mc.callbacks_deferred)
-      ; field "gc_rides" (string_of_int s.Mc.gc_rides)
-      ; field "gc_cross_rides" (string_of_int s.Mc.gc_cross_rides)
-      ; field "total_ms" (json_float s.Mc.total_ms)
-      ; field "trace_digest" (json_string s.Mc.trace_digest) ]
-  ^ "}"
-
-(* The snapshot-read baseline ([BENCH_oo7_snapshot.json]): the same
-   4-client hot-page workload at read_pct 80 under both read regimes —
-   locking scans first (S locks, waits-for graph, wound retries), then
-   MVCC snapshot bodies (no page locks anywhere on the read path) — so
-   the file quantifies exactly what version chains buy: reader lock
-   waits and deadlock retries collapse, while [world_digest] equality
-   proves the writers' committed effects are byte-identical in both
-   regimes (the rng draw sequences are identical and the write
-   partitions disjoint, so any divergence is a correctness bug, not
-   noise). Both trace digests are pinned. *)
-let snapshot_clients = 4
-let snapshot_read_pct = 80
-
-let snapshot_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  List.map
-    (fun snapshot ->
-      progress
-        (Printf.sprintf "running %d-client read-heavy contention (read_pct %d), %s scans..."
-           snapshot_clients snapshot_read_pct
-           (if snapshot then "snapshot" else "locking"));
-      Mc.run ~clients:snapshot_clients ~seed ~read_pct:snapshot_read_pct ~snapshot ())
-    [ false; true ]
-
-let snapshot_run_json (s : Mc.stats) =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  "{"
-  ^ String.concat ","
-      [ field "mode" (json_string (if s.Mc.snapshot then "snapshot" else "locking"))
-      ; field "clients" (string_of_int s.Mc.clients)
-      ; field "read_pct" (string_of_int s.Mc.read_pct)
-      ; field "committed" (string_of_int s.Mc.committed)
-      ; field "read_txns" (string_of_int s.Mc.read_txns)
-      ; field "deadlock_retries" (string_of_int s.Mc.deadlock_retries)
-      ; field "lock_waits" (string_of_int s.Mc.lock_waits)
-      ; field "lock_wait_ms" (json_float s.Mc.lock_wait_ms)
-      ; field "retry_ms" (json_float s.Mc.retry_ms)
-      ; field "reads" (string_of_int s.Mc.reads)
-      ; field "writes" (string_of_int s.Mc.writes)
-      ; field "snapshot_reads" (string_of_int s.Mc.snapshot_reads)
-      ; field "snapshot_deltas" (string_of_int s.Mc.snapshot_deltas)
-      ; field "snapshot_retries" (string_of_int s.Mc.snapshot_retries)
-      ; field "total_ms" (json_float s.Mc.total_ms)
-      ; field "world_digest" (json_string s.Mc.world_digest)
-      ; field "trace_digest" (json_string s.Mc.trace_digest) ]
-  ^ "}"
-
-let render_snapshot ~seed runs =
-  let find mode =
-    match List.find_opt (fun (s : Mc.stats) -> s.Mc.snapshot = mode) runs with
-    | Some s -> s
-    | None -> invalid_arg "Bench_json.render_snapshot: need one run per regime"
-  in
-  let locking = find false and snap = find true in
-  let summary =
-    String.concat ","
-      [ Printf.sprintf "\"lock_waits_locking\":%d" locking.Mc.lock_waits
-      ; Printf.sprintf "\"lock_waits_snapshot\":%d" snap.Mc.lock_waits
-      ; Printf.sprintf "\"lock_wait_reduction\":%s"
-          (json_float
-             (if snap.Mc.lock_waits = 0 then Float.of_int locking.Mc.lock_waits
-              else float_of_int locking.Mc.lock_waits /. float_of_int snap.Mc.lock_waits))
-      ; Printf.sprintf "\"deadlock_retries_locking\":%d" locking.Mc.deadlock_retries
-      ; Printf.sprintf "\"deadlock_retries_snapshot\":%d" snap.Mc.deadlock_retries
-      ; Printf.sprintf "\"world_digest_equal\":%b"
-          (String.equal locking.Mc.world_digest snap.Mc.world_digest) ]
-  in
-  Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,%s,\"runs\":[%s]}\n"
-    (json_string "OO7-snapshot") (json_string "mc-hotskew") seed summary
-    (String.concat "," (List.map snapshot_run_json runs))
-
-let render_callback ~seed runs =
-  let find mode =
-    match List.find_opt (fun (s : Mc.stats) -> s.Mc.callbacks = mode) runs with
-    | Some s -> s
-    | None -> invalid_arg "Bench_json.render_callback: need one run per regime"
-  in
-  let off = find false and on = find true in
-  let reads_saved = off.Mc.reads - on.Mc.reads in
-  let summary =
-    String.concat ","
-      [ Printf.sprintf "\"reads_saved\":%d" reads_saved
-      ; Printf.sprintf "\"read_bytes_saved\":%d" (reads_saved * Esm.Page.page_size)
-      ; Printf.sprintf "\"retained_hit_rate\":%s"
-          (json_float
-             (float_of_int on.Mc.retained_hits
-             /. float_of_int (on.Mc.retained_hits + on.Mc.reads))) ]
-  in
-  Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,%s,\"runs\":[%s]}\n"
-    (json_string "OO7-callback") (json_string "mc-hotskew") seed summary
-    (String.concat "," (List.map callback_run_json runs))
+  [ field "commit_region_ships" (string_of_int ships)
+  ; field "commit_region_bytes" (string_of_int bytes) ]
 
 (* ------------------------------------------------------------------ *)
-(* The log-index baseline ([BENCH_index.json]): lookup cost must stay
-   flat as the index grows.
+(* Multi-client runs of the [Mc] hot-page-skew workload.               *)
+
+(* Every [Mc.stats] field a baseline may pin, by JSON key; each
+   baseline picks its own ordered subset. *)
+let mc_fields : (string * (Mc.stats -> string)) list =
+  let int k f = (k, fun s -> string_of_int (f s)) in
+  let num k f = (k, fun s -> json_float (f s)) in
+  let str k f = (k, fun s -> json_string (f s)) in
+  [ int "clients" (fun s -> s.Mc.clients)
+  ; int "txns_per_client" (fun s -> s.Mc.txns_per_client)
+  ; int "read_pct" (fun s -> s.Mc.read_pct)
+  ; int "committed" (fun s -> s.Mc.committed)
+  ; int "read_txns" (fun s -> s.Mc.read_txns)
+  ; int "deadlock_retries" (fun s -> s.Mc.deadlock_retries)
+  ; int "lock_waits" (fun s -> s.Mc.lock_waits)
+  ; num "lock_wait_ms" (fun s -> s.Mc.lock_wait_ms)
+  ; num "retry_ms" (fun s -> s.Mc.retry_ms)
+  ; num "total_ms" (fun s -> s.Mc.total_ms)
+  ; int "reads" (fun s -> s.Mc.reads)
+  ; int "writes" (fun s -> s.Mc.writes)
+  ; int "retained_hits" (fun s -> s.Mc.retained_hits)
+  ; int "callbacks_sent" (fun s -> s.Mc.callbacks_sent)
+  ; int "callbacks_deferred" (fun s -> s.Mc.callbacks_deferred)
+  ; int "gc_rides" (fun s -> s.Mc.gc_rides)
+  ; int "gc_cross_rides" (fun s -> s.Mc.gc_cross_rides)
+  ; int "snapshot_reads" (fun s -> s.Mc.snapshot_reads)
+  ; int "snapshot_deltas" (fun s -> s.Mc.snapshot_deltas)
+  ; int "snapshot_retries" (fun s -> s.Mc.snapshot_retries)
+  ; ( "per_client"
+    , fun s ->
+        "["
+        ^ String.concat ","
+            (List.map
+               (fun (c : Mc.client_stats) ->
+                 Printf.sprintf "{\"name\":%s,\"committed\":%d,\"retries\":%d}"
+                   (json_string c.Mc.cs_name) c.Mc.cs_committed c.Mc.cs_retries)
+               s.Mc.per_client)
+        ^ "]" )
+  ; int "trace_events" (fun s -> s.Mc.trace_events)
+  ; str "world_digest" (fun s -> s.Mc.world_digest)
+  ; str "trace_digest" (fun s -> s.Mc.trace_digest) ]
+
+(* [mode] names a run's regime, the first field of each run when
+   given; [summary] adds fields ahead of the runs. *)
+let mc ?mode ?(summary = fun _ -> []) ~file ~title ~benchmark ~fields runner =
+  let mode = match mode with Some m -> [ ("mode", fun s -> json_string (m s)) ] | None -> [] in
+  let fields = mode @ List.map (fun k -> (k, List.assoc k mc_fields)) fields in
+  let run ~progress ~seed =
+    let runs = runner ~progress ~seed in
+    let run_json s = json_object (List.map (fun (k, f) -> field k (f s)) fields) in
+    ( Mc_runs runs
+    , Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,%s\"runs\":[%s]}\n"
+        (json_string benchmark) (json_string "mc-hotskew") seed
+        (String.concat "" (List.map (fun f -> f ^ ",") (summary runs)))
+        (String.concat "," (List.map run_json runs)) )
+  in
+  { file; title; run }
+
+(* The two regimes of a callback or snapshot baseline, off first. *)
+let both_regimes what = function
+  | [ off; on ] -> (off, on)
+  | _ -> invalid_arg ("Bench_json: " ^ what ^ " needs one run per regime")
+
+(* ------------------------------------------------------------------ *)
+(* The log-index baseline: lookup cost must stay flat as the index
+   grows.
 
    For each scale the run builds a fresh index — the log-structured
    [Esm.Log_index] at 10^4..10^6 bindings, the B-tree oracle (with a
@@ -351,28 +183,15 @@ let render_callback ~seed runs =
    client cache dropped before every probe, so each one pays the full
    root-to-binding path. Everything recorded is simulated and
    deterministic (Simclock microseconds and server read counters, no
-   wall clock), so the file is byte-stable and sits behind the same
-   CI shape gate as the OO7 baselines. The summary pins the tentpole
-   claim directly: the ratio of the slowest to the fastest log-index
-   lookup across two decades of growth ([log_lookup_spread]) must
-   stay under 2, while the B-tree's per-lookup reads grow with
-   depth. *)
+   wall clock). The summary pins the claim directly: the ratio of the
+   slowest to the fastest log-index lookup across two decades of
+   growth ([log_lookup_spread]) must stay under 2, while the B-tree's
+   per-lookup reads grow with depth. *)
 
 let index_klen = 8
 let index_log_pages = 256
 let index_btree_cap = 16
 let index_lookup_count = 200
-
-type index_run = {
-  ir_system : string;  (* "log" | "btree" *)
-  ir_n : int;  (* bindings in the index *)
-  ir_insert_us : float;  (* amortized simulated µs per insert, merges included *)
-  ir_lookup_us : float;  (* simulated µs per cold lookup *)
-  ir_lookup_reads : float;  (* server page reads per cold lookup *)
-  ir_generation : int;  (* merges folded (0 for the B-tree) *)
-  ir_log_len : int;  (* unmerged log tail (0 for the B-tree) *)
-}
-
 let index_scales_log = [ 10_000; 100_000; 1_000_000 ]
 let index_scales_btree = [ 10_000; 100_000 ]
 
@@ -416,13 +235,12 @@ let index_measure ?settle ~server ~client ~n ~insert ~lookup () =
      Esm.Server.checkpoint server);
   let c0 = (Esm.Server.counters server).Esm.Server.client_reads in
   let t1 = Simclock.Clock.total_us clock in
-  for k = 0 to index_lookup_count - 1 do
+  for _ = 1 to index_lookup_count do
     Esm.Client.reset_cache client;
     Esm.Client.begin_txn client;
     let key = Qs_util.Rng.int rng n in
-    let got = lookup key in
-    if not got then invalid_arg (Printf.sprintf "index bench: binding %d of %d missing" key n);
-    ignore k;
+    if not (lookup key) then
+      invalid_arg (Printf.sprintf "index bench: binding %d of %d missing" key n);
     Esm.Client.commit client
   done;
   let lookup_us = (Simclock.Clock.total_us clock -. t1) /. float_of_int index_lookup_count in
@@ -431,15 +249,18 @@ let index_measure ?settle ~server ~client ~n ~insert ~lookup () =
 
 let index_oid i = Esm.Oid.make ~page:(1 + (i / 8)) ~slot:(i mod 8) ~unique:i ()
 
-let index_runs ?(progress = fun (_ : string) -> ()) ~seed () =
+let index_runs ~progress =
   let ikey = Esm.Btree.key_of_int ~klen:index_klen in
-  let log_run n =
-    progress (Printf.sprintf "building log index with %d bindings..." n);
+  let fresh () =
     let server =
       Esm.Server.create ~frames:512 ~clock:(Simclock.Clock.create ())
         ~cm:Simclock.Cost_model.default ()
     in
-    let client = Esm.Client.create ~frames:1536 server in
+    (server, Esm.Client.create ~frames:1536 server)
+  in
+  let log_run n =
+    progress (Printf.sprintf "building log index with %d bindings..." n);
+    let server, client = fresh () in
     Esm.Client.begin_txn client;
     let idx = Esm.Log_index.create ~log_pages:index_log_pages client ~klen:index_klen in
     Esm.Client.commit client;
@@ -462,11 +283,7 @@ let index_runs ?(progress = fun (_ : string) -> ()) ~seed () =
   in
   let btree_run n =
     progress (Printf.sprintf "building b-tree with %d bindings..." n);
-    let server =
-      Esm.Server.create ~frames:512 ~clock:(Simclock.Clock.create ())
-        ~cm:Simclock.Cost_model.default ()
-    in
-    let client = Esm.Client.create ~frames:1536 server in
+    let server, client = fresh () in
     Esm.Btree.install_undo_handler client;
     Esm.Client.begin_txn client;
     let bt = Esm.Btree.create ~cap:index_btree_cap client ~klen:index_klen in
@@ -484,40 +301,170 @@ let index_runs ?(progress = fun (_ : string) -> ()) ~seed () =
     ; ir_generation = 0
     ; ir_log_len = 0 }
   in
-  ignore seed;
+  (* Bound first: [@] evaluates its right operand first. *)
   let logs = List.map log_run index_scales_log in
-  let btrees = List.map btree_run index_scales_btree in
-  logs @ btrees
+  logs @ List.map btree_run index_scales_btree
 
-let index_run_json r =
-  "{"
-  ^ String.concat ","
-      [ Printf.sprintf "\"system\":%s" (json_string r.ir_system)
-      ; Printf.sprintf "\"n\":%d" r.ir_n
-      ; Printf.sprintf "\"insert_us\":%s" (json_float r.ir_insert_us)
-      ; Printf.sprintf "\"lookup_us\":%s" (json_float r.ir_lookup_us)
-      ; Printf.sprintf "\"lookup_reads\":%s" (json_float r.ir_lookup_reads)
-      ; Printf.sprintf "\"generation\":%d" r.ir_generation
-      ; Printf.sprintf "\"log_len\":%d" r.ir_log_len ]
-  ^ "}"
+type cell = Text of string | Int of int | Num of float
+
+(* An index run's fields: JSON key, bench column heading, value. *)
+let index_fields =
+  [ ("system", "system", fun r -> Text r.ir_system)
+  ; ("n", "bindings", fun r -> Int r.ir_n)
+  ; ("insert_us", "insert us", fun r -> Num r.ir_insert_us)
+  ; ("lookup_us", "lookup us", fun r -> Num r.ir_lookup_us)
+  ; ("lookup_reads", "reads/lookup", fun r -> Num r.ir_lookup_reads)
+  ; ("generation", "merges", fun r -> Int r.ir_generation)
+  ; ("log_len", "log tail", fun r -> Int r.ir_log_len) ]
+
+let index_table runs =
+  let text = function Text s -> s | Int i -> string_of_int i | Num x -> Report.f1 x in
+  ( List.map (fun (_, h, _) -> h) index_fields
+  , List.map (fun r -> List.map (fun (_, _, v) -> text (v r)) index_fields) runs )
+
+let log_spread sel runs =
+  match List.filter_map (fun r -> if r.ir_system = "log" then Some (sel r) else None) runs with
+  | [] -> None
+  | v :: _ as vs ->
+    let lo = List.fold_left Float.min v vs and hi = List.fold_left Float.max v vs in
+    Some (lo, hi, hi /. lo)
 
 let render_index ~seed runs =
-  let log_runs = List.filter (fun r -> r.ir_system = "log") runs in
-  let spread sel =
-    let vs = List.map sel log_runs in
-    match vs with
-    | [] -> 0.0
-    | v :: _ -> List.fold_left Float.max v vs /. List.fold_left Float.min v vs
-  in
-  let summary =
-    String.concat ","
-      [ Printf.sprintf "\"log_lookup_spread\":%s" (json_float (spread (fun r -> r.ir_lookup_us)))
-      ; Printf.sprintf "\"log_lookup_reads_spread\":%s"
-          (json_float (spread (fun r -> r.ir_lookup_reads)))
-      ; Printf.sprintf "\"log_lookup_flat_2x\":%b" (spread (fun r -> r.ir_lookup_us) < 2.0) ]
-  in
+  let spread sel = match log_spread sel runs with Some (_, _, s) -> s | None -> 0.0 in
+  let lookup = spread (fun r -> r.ir_lookup_us) in
+  let cell = function Text s -> json_string s | Int i -> string_of_int i | Num x -> json_float x in
+  let run_json r = json_object (List.map (fun (k, _, v) -> field k (cell (v r))) index_fields) in
   Printf.sprintf
     "{\"benchmark\":%s,\"seed\":%d,\"klen\":%d,\"log_pages\":%d,\"btree_cap\":%d,\"lookups\":%d,%s,\"runs\":[%s]}\n"
     (json_string "index") seed index_klen index_log_pages index_btree_cap index_lookup_count
-    summary
-    (String.concat "," (List.map index_run_json runs))
+    (String.concat ","
+       [ field "log_lookup_spread" (json_float lookup)
+       ; field "log_lookup_reads_spread" (json_float (spread (fun r -> r.ir_lookup_reads)))
+       ; field "log_lookup_flat_2x" (string_of_bool (lookup < 2.0)) ])
+    (String.concat "," (List.map run_json runs))
+
+(* ------------------------------------------------------------------ *)
+(* The table.                                                          *)
+
+let baselines =
+  [ (* The paper's comparison: QS, E and QS-B on every small op. *)
+    oo7 ~file:"BENCH_oo7.json" ~title:"Small database" ~benchmark:"OO7"
+      ~building:"QS, E, QS-B" ~label:"small"
+      ~systems:
+        [ qs Qs_config.default
+        ; e
+        ; qs { Qs_config.default with Qs_config.mode = Qs_config.Big_objects } ]
+      ~ops:(Exp.traversal_ops @ Exp.query_ops @ Exp.update_ops)
+      ~hot_reps:3 ()
+  ; (* QS with fault-time page-run prefetch plus WAL group commit
+       against a stock E control, traversals and updates only (queries
+       are index-driven and gain nothing from run prefetch), hot_reps 1
+       — hot passes fault nothing, so one rep pins their shape. E runs
+       untouched: prefetch lives in QuickStore's fault handler and
+       group commit is enabled per-store, so any drift in E's numbers
+       between the two baselines is a bug. *)
+    oo7 ~file:"BENCH_oo7_prefetch.json"
+      ~title:"Batched I/O (fault-time page-run prefetch + WAL group commit)"
+      ~benchmark:"OO7+prefetch" ~building:"QS+prefetch, E control" ~label:"prefetch"
+      ~systems:
+        [ qs
+            { Qs_config.default with
+              Qs_config.prefetch_run_max = 8
+            ; Qs_config.group_commit = true }
+        ; e ]
+      ~ops:(Exp.traversal_ops @ Exp.update_ops) ~hot_reps:1 ()
+  ; (* QS with the diff-shipping commit (modified byte regions,
+       pipelined with the WAL force) against a stock E control. T1
+       rides along as a read-mostly control (its only commit traffic
+       is mapping maintenance); E runs untouched, so its cold T1 here
+       must stay bit-identical to the small-database baseline. *)
+    oo7 ~extra:diffship_extra ~file:"BENCH_oo7_diffship.json"
+      ~title:"Diff shipping (commit ships modified byte regions, pipelined with the WAL force)"
+      ~benchmark:"OO7+diffship" ~building:"QS+diffship, E control" ~label:"diff-ship"
+      ~systems:[ qs { Qs_config.default with Qs_config.diff_ship = true }; e ]
+      ~ops:("T1" :: Exp.update_ops) ~hot_reps:1 ()
+  ; (* 1, 2 and 4 simulated clients under the deterministic scheduler.
+       The trace digest pins the interleaving itself, not just the
+       totals. *)
+    mc ~file:"BENCH_oo7_multi.json"
+      ~title:"Multi-user contention (deterministic scheduler, hot-page skew)"
+      ~benchmark:"OO7-multi"
+      ~fields:
+        [ "clients"; "txns_per_client"; "committed"; "deadlock_retries"; "lock_waits"
+        ; "lock_wait_ms"; "retry_ms"; "total_ms"; "reads"; "writes"; "per_client"
+        ; "trace_events"; "trace_digest" ]
+      (fun ~progress ~seed ->
+        List.map
+          (fun clients ->
+            progress (Printf.sprintf "running multi-user contention with %d client(s)..." clients);
+            Mc.run ~clients ~seed ())
+          [ 1; 2; 4 ])
+  ; (* 4 clients under reset-per-transaction, then callback locking:
+       what inter-transaction caching buys (retained hits, server page
+       reads avoided and the bytes they would have shipped) against
+       what it costs (recall traffic). *)
+    mc ~file:"BENCH_oo7_callback.json"
+      ~title:"Callback locking (inter-transaction caching vs reset-per-txn)"
+      ~benchmark:"OO7-callback"
+      ~mode:(fun s -> if s.Mc.callbacks then "callback" else "reset")
+      ~fields:
+        [ "clients"; "committed"; "deadlock_retries"; "reads"; "writes"; "retained_hits"
+        ; "callbacks_sent"; "callbacks_deferred"; "gc_rides"; "gc_cross_rides"; "total_ms"
+        ; "trace_digest" ]
+      ~summary:(fun runs ->
+        let off, on = both_regimes "callback" runs in
+        let saved = off.Mc.reads - on.Mc.reads in
+        [ field "reads_saved" (string_of_int saved)
+        ; field "read_bytes_saved" (string_of_int (saved * Esm.Page.page_size))
+        ; field "retained_hit_rate"
+            (json_float
+               (float_of_int on.Mc.retained_hits
+               /. float_of_int (on.Mc.retained_hits + on.Mc.reads))) ])
+      (fun ~progress ~seed ->
+        List.map
+          (fun callbacks ->
+            progress
+              (Printf.sprintf "running 4-client contention, callback locking %s..."
+                 (if callbacks then "on" else "off"));
+            Mc.run ~clients:4 ~seed ~callbacks ())
+          [ false; true ])
+  ; (* 4 clients at read_pct 80 under locking scans, then MVCC snapshot
+       bodies: reader lock waits and deadlock retries collapse, while
+       equal world digests prove the writers' committed effects are
+       byte-identical in both regimes (the rng draws are identical and
+       the write partitions disjoint, so a divergence is a bug). *)
+    mc ~file:"BENCH_oo7_snapshot.json"
+      ~title:"Snapshot reads (MVCC version chains vs locking scans, read_pct 80)"
+      ~benchmark:"OO7-snapshot"
+      ~mode:(fun s -> if s.Mc.snapshot then "snapshot" else "locking")
+      ~fields:
+        [ "clients"; "read_pct"; "committed"; "read_txns"; "deadlock_retries"; "lock_waits"
+        ; "lock_wait_ms"; "retry_ms"; "reads"; "writes"; "snapshot_reads"; "snapshot_deltas"
+        ; "snapshot_retries"; "total_ms"; "world_digest"; "trace_digest" ]
+      ~summary:(fun runs ->
+        let locking, snap = both_regimes "snapshot" runs in
+        let waits = float_of_int locking.Mc.lock_waits in
+        [ field "lock_waits_locking" (string_of_int locking.Mc.lock_waits)
+        ; field "lock_waits_snapshot" (string_of_int snap.Mc.lock_waits)
+        ; field "lock_wait_reduction"
+            (json_float
+               (if snap.Mc.lock_waits = 0 then waits
+                else waits /. float_of_int snap.Mc.lock_waits))
+        ; field "deadlock_retries_locking" (string_of_int locking.Mc.deadlock_retries)
+        ; field "deadlock_retries_snapshot" (string_of_int snap.Mc.deadlock_retries)
+        ; field "world_digest_equal"
+            (string_of_bool (String.equal locking.Mc.world_digest snap.Mc.world_digest)) ])
+      (fun ~progress ~seed ->
+        List.map
+          (fun snapshot ->
+            progress
+              (Printf.sprintf "running 4-client read-heavy contention (read_pct 80), %s scans..."
+                 (if snapshot then "snapshot" else "locking"));
+            Mc.run ~clients:4 ~seed ~read_pct:80 ~snapshot ())
+          [ false; true ])
+  ; { file = "BENCH_index.json"
+    ; title = "Log-structured index (flat lookup vs B-tree depth)"
+    ; run =
+        (fun ~progress ~seed ->
+          let runs = index_runs ~progress in
+          (Index_runs runs, render_index ~seed runs)) } ]

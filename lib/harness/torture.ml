@@ -336,6 +336,13 @@ let scheduled row ~seed ~clients ~rng:_ =
   let in_flight = Array.make clients [] in
   let entered_abort = Array.make clients false in
   let died = Array.make clients None in
+  let quiesce = ref false in
+  let await_checkpoint c =
+    if c <> 0 && !quiesce then
+      ignore
+        (Sched.block_on ~what:"checkpoint" (fun () ->
+             if !quiesce then Sched.Wait else Sched.Ready))
+  in
   let txn c i =
     let cl = cls.(c) and rng = rngs.(c) in
     if snapshots && i mod 3 = 2 then begin
@@ -350,6 +357,7 @@ let scheduled row ~seed ~clients ~rng:_ =
       for _ = 1 to n do
         picked := Rng.int rng nobj :: !picked
       done;
+      await_checkpoint c;
       Client.with_snapshot_txn cl ~sanitize:true ~max_attempts:8 (fun () ->
           List.iter
             (fun idx ->
@@ -380,6 +388,7 @@ let scheduled row ~seed ~clients ~rng:_ =
            under callback locking they survive (a deadlock abort
            already dropped the dirty ones). *)
         if not callbacks then Client.reset_cache cl;
+        await_checkpoint c;
         Client.begin_txn cl;
         (match !birth with
          | None -> birth := Some (Client.txn_id cl)
@@ -416,12 +425,24 @@ let scheduled row ~seed ~clients ~rng:_ =
             Client.commit cl;
             List.iter (fun (idx, newv) -> model.(idx) <- newv) fl
           end;
-          (* Checkpoints need quiescence; check-and-checkpoint under one
-             preemption mask so no one begins a transaction in
-             between. *)
+          (* Checkpoints need quiescence. Client 0 raises [quiesce] so
+             the others park before their next [begin_txn], waits until
+             no transaction is active (or the server halted), then
+             checks and checkpoints under one preemption mask so no one
+             begins a transaction in between. The flag drops even when
+             the checkpoint dies with the server, or the parked clients
+             would wedge the scheduler. *)
           if c = 0 && i mod 5 = 0 then
-            Sched.atomically (fun () ->
-                if Server.active_txns server = 0 then Server.checkpoint server);
+            Fun.protect
+              ~finally:(fun () -> quiesce := false)
+              (fun () ->
+                quiesce := true;
+                ignore
+                  (Sched.block_on ~what:"checkpoint quiescence" (fun () ->
+                       if Server.active_txns server = 0 || F.halted fault then Sched.Ready
+                       else Sched.Wait));
+                Sched.atomically (fun () ->
+                    if Server.active_txns server = 0 then Server.checkpoint server));
           (* Reclamation pass: trims version deltas below the snapshot
              watermark (crash point snapshot.trim). *)
           if snapshots && c = 0 && i mod 4 = 1 then Server.trim_versions server

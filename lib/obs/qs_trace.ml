@@ -156,9 +156,15 @@ let buf_json_string b s =
     s;
   Buffer.add_char b '"'
 
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  buf_json_string b s;
+  Buffer.contents b
+
 (* Shortest decimal that round-trips, so exports are stable and exact. *)
 let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_nan f then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f

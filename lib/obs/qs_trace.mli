@@ -113,3 +113,10 @@ val iter : (ev -> unit) -> t -> unit
     one ["i"] event per clock charge — faithful but large. Timestamps
     are simulated microseconds. *)
 val to_chrome : ?include_charges:bool -> t -> string
+
+(** JSON encoders shared by every exporter: [json_string] quotes and
+    escapes double quotes, backslashes and control characters;
+    [json_float] prints the shortest decimal that round-trips
+    (integers without a fraction), and [null] for NaN. *)
+val json_string : string -> string
+val json_float : float -> string

@@ -39,3 +39,48 @@ let set_string_padded b off len s =
 let get_cstring b off len =
   let s = get_string b off len in
   match String.index_opt s '\000' with None -> s | Some i -> String.sub s 0 i
+
+let diff_regions ~old_bytes ~new_bytes ~gap =
+  let n = Bytes.length old_bytes in
+  if Bytes.length new_bytes <> n then invalid_arg "Codec.diff_regions: length mismatch";
+  let regions = ref [] in
+  (* Walk once, tracking the open region; a clean gap shorter than
+     [gap] does not close it (cheaper as one record than two). *)
+  let rec scan i current =
+    if i >= n then begin
+      match current with Some (s, e) -> regions := (s, e - s) :: !regions | None -> ()
+    end
+    else begin
+      let differs = Bytes.get old_bytes i <> Bytes.get new_bytes i in
+      match (current, differs) with
+      | None, false -> scan (i + 1) None
+      | None, true -> scan (i + 1) (Some (i, i + 1))
+      | Some (s, e), true -> scan (i + 1) (Some (s, max e (i + 1)))
+      | Some (s, e), false ->
+        if i - e >= gap then begin
+          regions := (s, e - s) :: !regions;
+          scan (i + 1) None
+        end
+        else scan (i + 1) (Some (s, e))
+    end
+  in
+  scan 0 None;
+  List.rev !regions
+
+(* QSan shadow check: would replaying [regions] out of [new_bytes]
+   onto [old_bytes] reproduce [new_bytes] exactly? I.e., does the
+   coalesced diff account for every differing byte of the full-page
+   comparison? Regions must be ascending (as [diff_regions] emits). *)
+let regions_cover ~old_bytes ~new_bytes regions =
+  let n = Bytes.length old_bytes in
+  Bytes.length new_bytes = n
+  &&
+  let rec go i regions =
+    if i >= n then true
+    else
+      match regions with
+      | (off, len) :: rest when i >= off + len -> go i rest
+      | (off, len) :: _ when i >= off && i < off + len -> go (i + 1) regions
+      | _ -> Bytes.get old_bytes i = Bytes.get new_bytes i && go (i + 1) regions
+  in
+  go 0 regions

@@ -39,3 +39,16 @@ val set_string_padded : bytes -> int -> int -> string -> unit
 (** [get_cstring b off len] reads at most [len] bytes and cuts at the
     first NUL, inverse of [set_string_padded] for NUL-free strings. *)
 val get_cstring : bytes -> int -> int -> string
+
+(** [diff_regions ~old_bytes ~new_bytes ~gap] is the list of
+    [(offset, length)] regions where the buffers differ, ascending,
+    where modified runs separated by fewer than [gap] unchanged bytes
+    are coalesced; with [gap = 0] every region is a maximal differing
+    run. Empty when the buffers are equal. *)
+val diff_regions : old_bytes:bytes -> new_bytes:bytes -> gap:int -> (int * int) list
+
+(** QSan shadow check: true iff replaying [regions] (ascending, as
+    {!diff_regions} emits) out of [new_bytes] onto [old_bytes] would
+    reproduce [new_bytes] byte-for-byte — i.e. the coalesced diff
+    agrees with a full-page comparison. *)
+val regions_cover : old_bytes:bytes -> new_bytes:bytes -> (int * int) list -> bool

@@ -53,16 +53,6 @@ let add t ~lo ~hi v =
   in
   go t
 
-let rec min_interval = function
-  | Leaf -> None
-  | Node { lo; hi; v; l = Leaf; _ } -> Some (lo, hi, v)
-  | Node { l; _ } -> min_interval l
-
-let rec max_interval = function
-  | Leaf -> None
-  | Node { lo; hi; v; r = Leaf; _ } -> Some (lo, hi, v)
-  | Node { r; _ } -> max_interval r
-
 (* Remove the minimum node, returning it and the remaining tree. *)
 let rec remove_min = function
   | Leaf -> assert false
@@ -94,14 +84,6 @@ let rec find_containing t x =
   | Node n ->
     if x < n.lo then find_containing n.l x
     else if x >= n.hi then find_containing n.r x
-    else Some (n.lo, n.hi, n.v)
-
-let rec find_start t lo =
-  match t with
-  | Leaf -> None
-  | Node n ->
-    if lo < n.lo then find_start n.l lo
-    else if lo > n.lo then find_start n.r lo
     else Some (n.lo, n.hi, n.v)
 
 let rec find_first_from t x =

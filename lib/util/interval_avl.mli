@@ -27,14 +27,8 @@ val remove : 'a t -> lo:int -> 'a t
     [lo <= x < hi], if any. *)
 val find_containing : 'a t -> int -> (int * int * 'a) option
 
-(** [find_start t lo] is the interval starting exactly at [lo]. *)
-val find_start : 'a t -> int -> (int * int * 'a) option
-
 (** Interval with the smallest [lo] such that [lo >= x]. *)
 val find_first_from : 'a t -> int -> (int * int * 'a) option
-
-val min_interval : 'a t -> (int * int * 'a) option
-val max_interval : 'a t -> (int * int * 'a) option
 
 (** In-order traversal (ascending [lo]). *)
 val iter : (lo:int -> hi:int -> 'a -> unit) -> 'a t -> unit

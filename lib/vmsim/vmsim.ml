@@ -152,7 +152,6 @@ let protect_all t =
   tlb_flush t
 
 let iter_mapped f t = Hashtbl.iter (fun frame m -> f ~frame ~prot:m.m_prot) t.frames
-let mapped_count t = Hashtbl.length t.frames
 
 let clear t =
   tlb_flush t;
@@ -160,7 +159,6 @@ let clear t =
 let set_fault_handler t h = t.handler <- h
 let set_post_fault_hook t f = t.post_fault <- f
 let fault_count t = t.faults
-let reset_fault_count t = t.faults <- 0
 
 let allows p a =
   match (p, a) with

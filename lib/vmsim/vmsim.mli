@@ -95,8 +95,6 @@ val protect_all : t -> unit
 (** Mapped frames with their protections (diagnostics/tests). *)
 val iter_mapped : (frame:int -> prot:prot -> unit) -> t -> unit
 
-val mapped_count : t -> int
-
 (** Drop all mappings (end of transaction / crash). No charge. *)
 val clear : t -> unit
 
@@ -114,7 +112,6 @@ val set_fault_handler : t -> (frame:int -> access:access -> unit) -> unit
 val set_post_fault_hook : t -> (frame:int -> unit) -> unit
 
 val fault_count : t -> int
-val reset_fault_count : t -> unit
 
 (** {2 Application access path}
 

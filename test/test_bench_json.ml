@@ -1,26 +1,11 @@
-(* Bench-shape gate: regenerate the committed OO7 small-database
-   baselines (per-op times, I/O counts, fault counts and win/loss
-   orderings) and fail on any byte of drift. Three baselines:
-   BENCH_oo7.json is the stock configuration; BENCH_oo7_prefetch.json
-   is QS with fault-time page-run prefetch + group commit against a
-   stock E control, pinning both the batched savings and E's
-   non-participation; BENCH_oo7_diffship.json is QS with the
-   diff-shipping commit (region ships + WAL-force pipelining) against
-   the same stock E control, pinning the region-ship byte savings;
-   BENCH_oo7_multi.json is the multi-user hot-page-skew workload at 1,
-   2 and 4 simulated clients under the deterministic scheduler,
-   pinning commit/retry/lock-wait counts and the trace digest (i.e.
-   the interleaving itself); BENCH_oo7_callback.json runs the 4-client
-   workload under both cache-consistency regimes, pinning the retained
-   hits and server reads saved by callback locking next to the reset
-   baseline; BENCH_oo7_snapshot.json runs the 4-client workload at 80%
-   read-only scans under both read regimes — locking scans vs MVCC
-   snapshot bodies — pinning the reader lock-wait collapse and the
-   world-digest equality that proves writer effects are byte-identical;
-   BENCH_index.json builds the log-structured index and the small-fan-out
-   B-tree oracle at growing scales and probes cold lookups, pinning the
-   flat per-lookup cost (and the under-2x spread summary) next to the
-   B-tree's depth growth.
+(* Bench-shape gate: regenerate every committed BENCH_*.json baseline
+   from the one table [Harness.Bench_json.baselines] (the OO7
+   small-database comparison, the prefetch, diff-ship, multi-client,
+   callback-locking and snapshot-read extensions, and the log-index
+   scaling run; each row's comment there says what it pins) and fail
+   on any byte of drift. The gate also fails when a BENCH_*.json in
+   the repo root has no row in the table, or a row has no committed
+   file, so a baseline cannot drop out of it unnoticed.
    The simulation is deterministic, so times are
    compared exactly, not within a tolerance — any change to a committed
    file must be a deliberate, reviewed re-baseline
@@ -29,10 +14,7 @@
    Runs as a plain executable test: exit 0 on match, exit 1 with the
    first differing line otherwise. *)
 
-(* Under [dune runtest] the cwd is [_build/default/test] (the baselines
-   are declared deps one level up); under [dune exec] from the repo
-   root it is the root itself. *)
-let candidates name = [ "../" ^ name; name ]
+let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("test_bench_json: " ^ m); exit 1) fmt
 
 let read_file path =
   let ic = open_in_bin path in
@@ -51,14 +33,7 @@ let first_diff a b =
   in
   go 1 la lb
 
-let check ~name regenerated =
-  let baseline =
-    match List.find_opt Sys.file_exists (candidates name) with
-    | Some path -> read_file path
-    | None ->
-      Printf.eprintf "test_bench_json: committed baseline %s not found\n" name;
-      exit 1
-  in
+let check ~name ~baseline regenerated =
   if String.equal baseline regenerated then
     Printf.printf "test_bench_json: %s matches the regenerated benchmark byte-for-byte\n" name
   else begin
@@ -80,34 +55,35 @@ let check ~name regenerated =
 let () =
   let seed = 1234 in
   let progress m = Printf.printf "%s\n%!" m in
-  let suites = Harness.Bench_json.small_suites ~progress ~seed () in
-  check ~name:"BENCH_oo7.json" (Harness.Bench_json.render_small ~seed suites);
-  let prefetch_suites = Harness.Bench_json.small_prefetch_suites ~progress ~seed () in
-  check ~name:"BENCH_oo7_prefetch.json"
-    (Harness.Bench_json.render_small_prefetch ~seed prefetch_suites);
-  let diffship_suites = Harness.Bench_json.small_diffship_suites ~progress ~seed () in
-  check ~name:"BENCH_oo7_diffship.json"
-    (Harness.Bench_json.render_small_diffship ~seed diffship_suites);
-  let multi_runs = Harness.Bench_json.multi_runs ~progress ~seed () in
-  check ~name:"BENCH_oo7_multi.json" (Harness.Bench_json.render_multi ~seed multi_runs);
-  let callback_runs = Harness.Bench_json.callback_runs ~progress ~seed () in
-  check ~name:"BENCH_oo7_callback.json" (Harness.Bench_json.render_callback ~seed callback_runs);
-  let snapshot_runs = Harness.Bench_json.snapshot_runs ~progress ~seed () in
-  check ~name:"BENCH_oo7_snapshot.json" (Harness.Bench_json.render_snapshot ~seed snapshot_runs);
-  let index_runs = Harness.Bench_json.index_runs ~progress ~seed () in
-  check ~name:"BENCH_index.json" (Harness.Bench_json.render_index ~seed index_runs);
+  let baselines = Harness.Bench_json.baselines in
+  let rows = List.map (fun (b : Harness.Bench_json.baseline) -> b.file) baselines in
+  (* Under [dune runtest] the cwd is [_build/default/test] (the
+     baselines are globbed deps one level up); under [dune exec] from
+     the repo root it is the root itself. *)
+  let is_bench f = String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json" in
+  let root =
+    match List.find_opt (fun d -> Array.exists is_bench (Sys.readdir d)) [ ".."; "." ] with
+    | Some d -> d
+    | None -> fail "no committed BENCH_*.json found"
+  in
+  let committed = List.filter is_bench (Array.to_list (Sys.readdir root)) in
+  List.iter
+    (fun f -> if not (List.mem f rows) then fail "%s has no row in Bench_json.baselines" f)
+    committed;
+  List.iter
+    (fun f -> if not (List.mem f committed) then fail "committed baseline %s not found" f)
+    rows;
+  let committed name = read_file (Filename.concat root name) in
+  List.iter
+    (fun (b : Harness.Bench_json.baseline) ->
+      check ~name:b.file ~baseline:(committed b.file) (snd (b.run ~progress ~seed)))
+    baselines;
   (* The committed baseline must itself carry the tentpole claim: the
      summary field is data, so a re-baseline that loses flatness fails
      here even though the bytes match. *)
-  let flat =
-    List.exists
-      (fun line -> line = "\"log_lookup_flat_2x\":true")
-      (String.split_on_char ',' (read_file (List.find Sys.file_exists (candidates "BENCH_index.json"))))
-  in
-  if not flat then begin
-    Printf.eprintf
-      "test_bench_json: BENCH_index.json lost the flat-lookup property \
-       (log_lookup_flat_2x is not true)\n";
-    exit 1
-  end;
+  if
+    not
+      (List.mem "\"log_lookup_flat_2x\":true"
+         (String.split_on_char ',' (committed "BENCH_index.json")))
+  then fail "BENCH_index.json lost the flat-lookup property (log_lookup_flat_2x is not true)";
   Printf.printf "test_bench_json: BENCH_index.json log-index lookup is flat (spread < 2x)\n"

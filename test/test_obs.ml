@@ -306,6 +306,17 @@ let test_chrome_json () =
   check_export ~include_charges:false;
   check_export ~include_charges:true
 
+(* The shared encoders: backslashes, quotes and control characters
+   escape to valid JSON that parses back to the original, NaN is null. *)
+let test_json_encoders () =
+  let raw = "a\\b\"c\n\001" in
+  let enc = Qs_trace.json_string raw in
+  Alcotest.(check string) "escaped" "\"a\\\\b\\\"c\\n\\u0001\"" enc;
+  Alcotest.(check bool) "round trip" true (parse_json enc = J_str raw);
+  Alcotest.(check string) "nan" "null" (Qs_trace.json_float Float.nan);
+  Alcotest.(check string) "integer" "3" (Qs_trace.json_float 3.0);
+  Alcotest.(check string) "fraction" "0.1" (Qs_trace.json_float 0.1)
+
 (* ------------------------------------------------------------------ *)
 (* Disarmed cost: the layer must not allocate on the charge path, and
    span/instant entry points must not allocate once no sink is armed.
@@ -394,7 +405,9 @@ let () =
         ; Alcotest.test_case "with_span exception safety" `Quick test_with_span_exception_safe ] )
     ; ( "metrics"
       , [ Alcotest.test_case "totals match clock bit-exactly" `Quick test_totals_match_clock ] )
-    ; ("chrome", [ Alcotest.test_case "trace_event JSON" `Quick test_chrome_json ])
+    ; ( "chrome"
+      , [ Alcotest.test_case "trace_event JSON" `Quick test_chrome_json
+        ; Alcotest.test_case "json encoders" `Quick test_json_encoders ] )
     ; ( "cost"
       , [ Alcotest.test_case "disarmed allocates nothing" `Quick test_disarmed_no_alloc
         ; Alcotest.test_case "armed vs disarmed clock identical" `Quick

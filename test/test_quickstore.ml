@@ -5,6 +5,7 @@
 module Store = Quickstore.Store
 module Qs_config = Quickstore.Qs_config
 module Rec_buffer = Quickstore.Rec_buffer
+module Codec = Qs_util.Codec
 module Server = Esm.Server
 module Clock = Simclock.Clock
 module Cat = Simclock.Category
@@ -478,20 +479,24 @@ let test_diff_regions () =
   let old_bytes = Bytes.make 1000 'a' in
   let new_bytes = Bytes.copy old_bytes in
   Alcotest.(check (list (pair int int))) "no change" []
-    (Rec_buffer.diff_regions ~old_bytes ~new_bytes ~gap:25);
+    (Codec.diff_regions ~old_bytes ~new_bytes ~gap:25);
   (* First and last byte: far apart, two records (the paper's 1K
      object example). *)
   Bytes.set new_bytes 0 'X';
   Bytes.set new_bytes 999 'Y';
   Alcotest.(check (list (pair int int))) "two distant regions" [ (0, 1); (999, 1) ]
-    (Rec_buffer.diff_regions ~old_bytes ~new_bytes ~gap:25);
+    (Codec.diff_regions ~old_bytes ~new_bytes ~gap:25);
   (* Bytes 0, 2, 4 modified: gaps of 1 coalesce into one region. *)
   let new2 = Bytes.copy old_bytes in
   Bytes.set new2 0 'X';
   Bytes.set new2 2 'X';
   Bytes.set new2 4 'X';
   Alcotest.(check (list (pair int int))) "coalesced" [ (0, 5) ]
-    (Rec_buffer.diff_regions ~old_bytes ~new_bytes:new2 ~gap:25)
+    (Codec.diff_regions ~old_bytes ~new_bytes:new2 ~gap:25);
+  (* Gap 0: a region closes at the first equal byte. *)
+  Bytes.set new2 1 'X';
+  Alcotest.(check (list (pair int int))) "gap 0 maximal runs" [ (0, 3); (4, 1) ]
+    (Codec.diff_regions ~old_bytes ~new_bytes:new2 ~gap:0)
 
 let prop_diff_patch_identity =
   QCheck.Test.make ~name:"applying diff regions to old yields new" ~count:200
@@ -500,7 +505,7 @@ let prop_diff_patch_identity =
       let old_bytes = Bytes.make 500 'o' in
       let new_bytes = Bytes.copy old_bytes in
       List.iter (fun (i, v) -> Bytes.set new_bytes i (Char.chr v)) writes;
-      let regions = Rec_buffer.diff_regions ~old_bytes ~new_bytes ~gap in
+      let regions = Codec.diff_regions ~old_bytes ~new_bytes ~gap in
       let patched = Bytes.copy old_bytes in
       List.iter (fun (off, len) -> Bytes.blit new_bytes off patched off len) regions;
       Bytes.equal patched new_bytes)
@@ -512,7 +517,7 @@ let prop_diff_minimal_vs_whole =
       let old_bytes = Bytes.make 8192 'o' in
       let new_bytes = Bytes.copy old_bytes in
       List.iter (fun (i, v) -> Bytes.set new_bytes i (Char.chr v)) writes;
-      let regions = Rec_buffer.diff_regions ~old_bytes ~new_bytes ~gap:25 in
+      let regions = Codec.diff_regions ~old_bytes ~new_bytes ~gap:25 in
       let logged = Rec_buffer.log_bytes_of_regions regions in
       (writes = [] && logged = 0) || logged <= Esm.Wal.header_bytes + (2 * 8192))
 
@@ -683,13 +688,13 @@ let test_regions_cover_shadow () =
   let old_bytes = Bytes.make 256 'a' and new_bytes = Bytes.make 256 'a' in
   Bytes.set new_bytes 10 'x';
   Bytes.set new_bytes 200 'y';
-  let regions = Rec_buffer.diff_regions ~old_bytes ~new_bytes ~gap:16 in
+  let regions = Codec.diff_regions ~old_bytes ~new_bytes ~gap:16 in
   Alcotest.(check bool) "honest diff covers" true
-    (Rec_buffer.regions_cover ~old_bytes ~new_bytes regions);
+    (Codec.regions_cover ~old_bytes ~new_bytes regions);
   Alcotest.(check bool) "dropped region detected" false
-    (Rec_buffer.regions_cover ~old_bytes ~new_bytes [ (10, 1) ]);
+    (Codec.regions_cover ~old_bytes ~new_bytes [ (10, 1) ]);
   Alcotest.(check bool) "empty diff of equal pages" true
-    (Rec_buffer.regions_cover ~old_bytes:new_bytes ~new_bytes [])
+    (Codec.regions_cover ~old_bytes:new_bytes ~new_bytes [])
 
 let () =
   Alcotest.run "quickstore"
