@@ -57,8 +57,8 @@ let clients =
     & opt (some (conv (positive, Format.pp_print_int))) None
     & info [ "clients" ] ~docv:"N"
         ~doc:
-          "Concurrent clients for single-server schedules (default: 2-4 rotating with the seed; \
-           1 = one client under the scheduler).")
+          "Concurrent clients of scheduled (non-index) schedules (default: 2-4 rotating with the \
+           seed; 1 = one client under the scheduler).")
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print one line per schedule.")
 

@@ -234,20 +234,9 @@ let compute (cg : Callgraph.t) : summaries =
 (* ------------------------------------------------------------------ *)
 (* JSON baseline.                                                      *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Qs_util.Json
 
-let json_strings l = "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l) ^ "]"
+let json_strings l = "[" ^ String.concat "," (List.map Json.string l) ^ "]"
 
 (* One function's summary as a JSON object. Only flags that are set
    appear (the baseline stays reviewable); [io] gathers the I/O bits.
@@ -255,7 +244,7 @@ let json_strings l = "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_esc
 let summary_json ~name ~file s =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "{\"function\":\"%s\",\"file\":\"%s\"" (json_escape name) (json_escape file));
+    (Printf.sprintf "{\"function\":%s,\"file\":%s" (Json.string name) (Json.string file));
   let acq =
     (if s.acq_page then [ "Page" ] else [])
     @ (if s.acq_file then [ "File" ] else [])

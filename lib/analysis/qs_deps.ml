@@ -11,6 +11,8 @@
    emitted in sorted order, and nothing iterates a hashtable without
    sorting. *)
 
+module Json = Qs_util.Json
+
 type result = {
   graph : Callgraph.t;
   summaries : Effects.summaries;
@@ -72,9 +74,9 @@ let effects_json r =
   let edge_rows =
     List.map
       (fun e ->
-        Printf.sprintf "    {\"from\":\"%s\",\"to\":\"%s\",\"via\":\"%s\",\"file\":\"%s\"}"
-          (Effects.json_escape e.Lockorder.e_from) (Effects.json_escape e.Lockorder.e_to)
-          (Effects.json_escape e.Lockorder.via) (Effects.json_escape e.Lockorder.e_file))
+        Printf.sprintf "    {\"from\":%s,\"to\":%s,\"via\":%s,\"file\":%s}"
+          (Json.string e.Lockorder.e_from) (Json.string e.Lockorder.e_to)
+          (Json.string e.Lockorder.via) (Json.string e.Lockorder.e_file))
       r.edges
   in
   Buffer.add_string b (String.concat ",\n" edge_rows);

@@ -418,7 +418,7 @@ let apply_logical client record =
   | Wal.Index_delete { root; key; oid; _ } ->
     let t = open_tree client ~root ~klen:(Bytes.length key) in
     ignore (delete_nolog t ~key ~oid)
-  | Wal.Begin _ | Wal.Update _ | Wal.Prepare _ | Wal.Commit _ | Wal.Abort _ ->
+  | Wal.Begin _ | Wal.Update _ | Wal.Commit _ | Wal.Abort _ ->
     invalid_arg "Btree.apply_logical: not an index record"
 
 let install_undo_handler client =

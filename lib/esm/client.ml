@@ -581,27 +581,6 @@ let log_update t ~page_id ~frame ~off ~old_data ~new_data =
   let lsn = Server.log_update t.server ~txn:(txn_id t) ~page:page_id ~off ~old_data ~new_data in
   Page.set_lsn (Page.attach (Buf_pool.frame_bytes t.pool frame)) lsn
 
-(* Two-phase commit, participant side. [prepare] ships the dirty
-   pages and records the durable yes-vote; [commit_prepared] delivers
-   the coordinator's commit decision. *)
-let prepare ?(before_flush = fun () -> ()) t =
-  let txn = txn_id t in
-  before_flush ();
-  List.iter
-    (fun (page_id, frame) ->
-      ship_page t ~txn ~at_commit:true page_id (Buf_pool.frame_bytes t.pool frame);
-      Buf_pool.clear_dirty t.pool frame)
-    (Buf_pool.dirty_pages t.pool);
-  Server.prepare t.server ~txn
-
-let commit_prepared t =
-  let txn = txn_id t in
-  Hashtbl.reset t.stolen;
-  cb_drop_pending t;
-  Server.commit t.server ~txn;
-  t.txn <- None;
-  cb_end_txn t
-
 let commit ?(before_flush = fun () -> ()) t =
   let txn = txn_id t in
   before_flush ();

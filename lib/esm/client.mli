@@ -73,14 +73,6 @@ val commit : ?before_flush:(unit -> unit) -> t -> unit
 (** Drop dirty frames, undo at the server. *)
 val abort : t -> unit
 
-(** Two-phase commit, participant side: ship dirty pages and record
-    the durable yes-vote (locks stay held; the transaction stays
-    active). [before_flush] as in {!commit}. *)
-val prepare : ?before_flush:(unit -> unit) -> t -> unit
-
-(** Deliver the coordinator's commit decision after {!prepare}. *)
-val commit_prepared : t -> unit
-
 val in_txn : t -> bool
 val with_txn : t -> (unit -> 'a) -> 'a
 

@@ -108,17 +108,6 @@ let reset_counters t =
 
 let size_bytes t = (page_count t - List.length t.free_list) * Page.page_size
 
-(* Snapshot of the durable state (for forked what-if recovery runs);
-   counters reset, no injector attached. *)
-let copy t =
-  { pages = Array.map Bytes.copy t.pages
-  ; next = t.next
-  ; free_list = t.free_list
-  ; freed = Hashtbl.copy t.freed
-  ; reads = 0
-  ; writes = 0
-  ; fault = None }
-
 let save_to_file t path =
   let oc = open_out_bin path in
   Fun.protect

@@ -51,10 +51,5 @@ val reset_counters : t -> unit
 (** Total allocated bytes (for Table 2 database sizes). *)
 val size_bytes : t -> int
 
-(** Deep copy of the durable state (counters reset, no injector): lets
-    recovery tests fork a crashed volume and drive an in-doubt
-    transaction both ways. *)
-val copy : t -> t
-
 val save_to_file : t -> string -> unit
 val load_from_file : string -> t

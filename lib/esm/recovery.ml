@@ -11,11 +11,10 @@ type stats = {
   logical_replayed : int;
   losers_undone : int;
   loser_updates_undone : int;
-  in_doubt : int list;
 }
 
 let txn_of = function
-  | Wal.Begin txn | Wal.Prepare txn | Wal.Commit txn | Wal.Abort txn -> txn
+  | Wal.Begin txn | Wal.Commit txn | Wal.Abort txn -> txn
   | Wal.Update { txn; _ } | Wal.Index_insert { txn; _ } | Wal.Index_delete { txn; _ } -> txn
 
 let restart ?(sanitize = false) server =
@@ -24,23 +23,14 @@ let restart ?(sanitize = false) server =
   let wal_end = Wal.last_lsn wal in
   (* --- analysis --- *)
   let started = Hashtbl.create 16 and finished = Hashtbl.create 16 in
-  let prepared = Hashtbl.create 4 in
   Wal.iter_forced
     (fun _lsn r ->
       match r with
       | Wal.Begin txn -> Hashtbl.replace started txn ()
-      | Wal.Prepare txn -> Hashtbl.replace prepared txn ()
-      | Wal.Commit txn | Wal.Abort txn ->
-        Hashtbl.replace finished txn ();
-        Hashtbl.remove prepared txn
+      | Wal.Commit txn | Wal.Abort txn -> Hashtbl.replace finished txn ()
       | Wal.Update _ | Wal.Index_insert _ | Wal.Index_delete _ -> ())
     wal;
-  (* Prepared-but-undecided transactions are in-doubt: their effects
-     are durable and must be neither undone nor committed until the
-     coordinator's decision (resolve_in_doubt). *)
-  let is_loser txn =
-    Hashtbl.mem started txn && (not (Hashtbl.mem finished txn)) && not (Hashtbl.mem prepared txn)
-  in
+  let is_loser txn = Hashtbl.mem started txn && not (Hashtbl.mem finished txn) in
   (* --- redo (physical, all transactions, LSN-guarded) --- *)
   let redo_applied = ref 0 and redo_skipped = ref 0 in
   let buf = Bytes.create Page.page_size in
@@ -63,8 +53,8 @@ let restart ?(sanitize = false) server =
           incr redo_applied
         end
         else incr redo_skipped
-      | Wal.Update _ | Wal.Begin _ | Wal.Prepare _ | Wal.Commit _ | Wal.Abort _
-      | Wal.Index_insert _ | Wal.Index_delete _ -> ())
+      | Wal.Update _ | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Index_insert _
+      | Wal.Index_delete _ -> ())
     wal;
   (* --- logical index replay for finished transactions --- *)
   let client = Client.create ~frames:128 server in
@@ -74,12 +64,11 @@ let restart ?(sanitize = false) server =
     (fun _lsn r ->
       match r with
       | (Wal.Index_insert { txn; root; _ } | Wal.Index_delete { txn; root; _ })
-        when (Hashtbl.mem finished txn || Hashtbl.mem prepared txn) && Disk.is_allocated disk root
-        ->
+        when Hashtbl.mem finished txn && Disk.is_allocated disk root ->
         Btree.apply_logical client r;
         incr logical_replayed
-      | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Update _ | Wal.Prepare _
-      | Wal.Commit _ | Wal.Abort _ -> ())
+      | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Update _ | Wal.Commit _
+      | Wal.Abort _ -> ())
     wal;
   (* --- undo losers, newest record first --- *)
   let loser_records = ref [] in
@@ -109,8 +98,8 @@ let restart ?(sanitize = false) server =
         ignore (Wal.append wal inv);
         Btree.apply_logical client inv;
         incr loser_updates_undone
-      | Wal.Update _ | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Prepare _
-      | Wal.Commit _ | Wal.Abort _ -> ())
+      | Wal.Update _ | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Commit _
+      | Wal.Abort _ -> ())
     !loser_records;
   let losers = Hashtbl.fold (fun txn () acc -> if is_loser txn then txn :: acc else acc) started [] in
   List.iter (fun txn -> ignore (Wal.append wal (Wal.Abort txn))) losers;
@@ -120,51 +109,4 @@ let restart ?(sanitize = false) server =
   ; redo_skipped = !redo_skipped
   ; logical_replayed = !logical_replayed
   ; losers_undone = List.length losers
-  ; loser_updates_undone = !loser_updates_undone
-  ; in_doubt = Hashtbl.fold (fun txn () acc -> txn :: acc) prepared [] }
-
-(* Deliver the coordinator's decision for an in-doubt transaction
-   after restart. Commit is just a log record (the effects are already
-   durable); abort applies before-images like runtime undo. *)
-let resolve_in_doubt server txn decision =
-  let wal = Server.wal server in
-  let disk = Server.disk server in
-  match decision with
-  | `Commit ->
-    ignore (Wal.append wal (Wal.Commit txn));
-    ignore (Wal.force wal)
-  | `Abort ->
-    (* The before-images go straight to disk below; any copy of those
-       pages in the server pool (read back while the transaction was
-       in doubt) would go stale. Flush and drop the pool first. *)
-    Server.reset_cache server;
-    let records = ref [] in
-    Wal.iter_forced (fun _lsn r -> if txn_of r = txn then records := r :: !records) wal;
-    let buf = Bytes.create Page.page_size in
-    let client = Client.create ~frames:32 server in
-    Client.begin_txn client;
-    List.iter
-      (fun r ->
-        match r with
-        | Wal.Update { page; off; old_data; new_data; _ } when Disk.is_allocated disk page ->
-          let clr =
-            Wal.append wal (Wal.Update { txn; page; off; old_data = new_data; new_data = old_data })
-          in
-          Disk.read disk page buf;
-          Bytes.blit old_data 0 buf off (Bytes.length old_data);
-          Qs_util.Codec.set_i64 buf 8 clr;
-          Disk.write disk page buf
-        | Wal.Index_insert { root; key; oid; _ } when Disk.is_allocated disk root ->
-          let inv = Wal.Index_delete { txn; root; key; oid } in
-          ignore (Wal.append wal inv);
-          Btree.apply_logical client inv
-        | Wal.Index_delete { root; key; oid; _ } when Disk.is_allocated disk root ->
-          let inv = Wal.Index_insert { txn; root; key; oid } in
-          ignore (Wal.append wal inv);
-          Btree.apply_logical client inv
-        | Wal.Update _ | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Prepare _
-        | Wal.Commit _ | Wal.Abort _ -> ())
-      !records;
-    ignore (Wal.append wal (Wal.Abort txn));
-    Client.commit client;
-    ignore (Wal.force wal)
+  ; loser_updates_undone = !loser_updates_undone }

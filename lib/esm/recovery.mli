@@ -24,9 +24,6 @@ type stats = {
   logical_replayed : int;
   losers_undone : int;
   loser_updates_undone : int;
-  in_doubt : int list;
-      (** prepared two-phase-commit participants awaiting the
-          coordinator's decision; resolve with {!resolve_in_doubt} *)
 }
 
 (** [restart ?sanitize server] runs the three phases. With
@@ -35,7 +32,3 @@ type stats = {
     when a disk page carries an LSN beyond the end of the forced log —
     evidence of a write that bypassed write-ahead ordering. *)
 val restart : ?sanitize:bool -> Server.t -> stats
-
-(** Deliver the coordinator's decision for an in-doubt transaction
-    found by {!restart}. *)
-val resolve_in_doubt : Server.t -> int -> [ `Commit | `Abort ] -> unit

@@ -165,8 +165,8 @@ let reset_counters t =
   c.snapshot_deltas_applied <- 0
 
 (* A server whose scheduled crash has fired is dead until [crash] takes
-   the failure: further requests bounce, exactly as a real coordinator
-   would see a crashed participant. *)
+   the failure: further requests bounce, exactly as the clients of a
+   crashed server would see it. *)
 let check_up t = if Qs_fault.halted t.fault then raise Server_down
 
 (* Every server entry point is one RPC: under the multi-client
@@ -905,7 +905,7 @@ let log_index t ~txn record =
   check_active t txn "log_index";
   (match record with
    | Wal.Index_insert _ | Wal.Index_delete _ -> ()
-   | Wal.Begin _ | Wal.Update _ | Wal.Prepare _ | Wal.Commit _ | Wal.Abort _ ->
+   | Wal.Begin _ | Wal.Update _ | Wal.Commit _ | Wal.Abort _ ->
      invalid_arg "Server.log_index: not an index record");
   Qs_trace.charge t.clock Simclock.Category.Log_write t.cm.Simclock.Cost_model.log_record_cpu_us;
   let lsn = Wal.append t.wal record in
@@ -1027,19 +1027,6 @@ let commit t ~txn =
   push_versions t txn ~commit_lsn;
   finish_txn t txn
 
-(* Two-phase commit, participant side: make the transaction's effects
-   durable and vote yes. The transaction stays active (locks held)
-   until the coordinator's decision arrives via [commit] or [abort]. *)
-let prepare t ~txn =
-  serve @@ fun () ->
-  check_active t txn "prepare";
-  Qs_fault.hit t.fault Qs_fault.Point.prepare_pre_log;
-  ignore (Wal.append t.wal (Wal.Prepare txn));
-  force_log t;
-  (* From here the vote is durable: a crash leaves the txn in-doubt. *)
-  Qs_fault.hit t.fault Qs_fault.Point.prepare_post_log;
-  flush_txn_pages ~point:Qs_fault.Point.prepare_mid_flush t txn
-
 let abort t ~txn =
   serve @@ fun () ->
   check_active t txn "abort";
@@ -1070,7 +1057,7 @@ let abort t ~txn =
       | Wal.Index_delete { root; key; oid; _ } ->
         ignore (Wal.append t.wal (Wal.Index_insert { txn; root; key; oid }));
         t.index_undo (Wal.Index_insert { txn; root; key; oid })
-      | Wal.Begin _ | Wal.Prepare _ | Wal.Commit _ | Wal.Abort _ -> ())
+      | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ())
     updates;
   ignore (Wal.append t.wal (Wal.Abort txn));
   force_log ?committer:(Hashtbl.find_opt t.txn_owner txn) t;
@@ -1128,18 +1115,3 @@ let crash t =
   t.next_snapshot <- 1;
   (* The failure is taken: the restarted server may serve again. *)
   Qs_fault.clear_halt t.fault
-
-(* Fork the durable state of a crashed server — the disk image and the
-   forced log prefix — into an independent server on its own clock, so
-   a test can restart the same crash twice and drive an in-doubt
-   transaction to both decisions. *)
-let fork_crashed t =
-  let s =
-    create_with_disk ~frames:t.frames ~disk:(Disk.copy t.disk)
-      ~clock:(Simclock.Clock.create ()) ~cm:t.cm ()
-  in
-  s.wal <- Wal.survive_crash t.wal;
-  s.next_txn <- t.next_txn;
-  s.group_commit <- t.group_commit;
-  s.pipeline_commit <- t.pipeline_commit;
-  s

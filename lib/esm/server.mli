@@ -37,8 +37,7 @@ val create_with_disk :
     arms it). Crash points instrumented here: [commit.pre_log],
     [commit.pre_flush], [commit.mid_flush], [commit.post_flush],
     [commit.ship_page], [commit.ship_region], [commit.region_torn],
-    [evict.steal_write], [wal.force_partial], [prepare.pre_log],
-    [prepare.post_log], [prepare.mid_flush], [abort.mid_undo],
+    [evict.steal_write], [wal.force_partial], [abort.mid_undo],
     [checkpoint.mid_flush]; the shared disk adds [disk.torn_write]
     plus transient I/O errors. *)
 val fault_injector : t -> Qs_fault.t
@@ -76,14 +75,6 @@ val commit : t -> txn:int -> unit
     server/disk state (before-images, reverse order), logs the abort
     and releases locks. *)
 val abort : t -> txn:int -> unit
-
-(** Two-phase commit, participant side: force the log (with a durable
-    Prepare record) and flush the transaction's pages. The transaction
-    stays active — locks held — until {!commit} or {!abort} delivers
-    the coordinator's decision. After a crash the transaction is
-    {e in-doubt}: {!Recovery.restart} neither undoes nor commits it
-    (see {!Recovery.resolve_in_doubt}). *)
-val prepare : t -> txn:int -> unit
 
 (** {2 Page service} *)
 
@@ -287,19 +278,13 @@ val crash : t -> unit
 
 (** Raised by every request once a scheduled {!Qs_fault} crash has
     fired and until {!crash} takes the failure: a dead server does not
-    answer, so e.g. a 2PC coordinator cannot keep talking to a crashed
-    participant. *)
+    answer, so the other clients of a crashed server fail fast instead
+    of talking to it. *)
 exception Server_down
 
 (** Raised on requests naming a transaction that is not active: always
     a caller bug, never an injected fault. *)
 exception Bad_txn of { op : string; txn : int }
-
-(** Fork the durable state (disk image + forced log) of a crashed
-    server into an independent server on a fresh clock: recovery tests
-    restart the same crash twice and drive an in-doubt transaction to
-    both decisions. *)
-val fork_crashed : t -> t
 
 (** Fault injection: raised by {!write_page} once the injected
     countdown reaches zero, cutting a commit flush mid-stream. *)

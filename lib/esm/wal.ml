@@ -3,14 +3,13 @@ type record =
   | Update of { txn : int; page : int; off : int; old_data : bytes; new_data : bytes }
   | Index_insert of { txn : int; root : int; key : bytes; oid : Oid.t }
   | Index_delete of { txn : int; root : int; key : bytes; oid : Oid.t }
-  | Prepare of int  (* two-phase commit: participant vote, durable *)
   | Commit of int
   | Abort of int
 
 let header_bytes = 50
 
 let record_bytes = function
-  | Begin _ | Prepare _ | Commit _ | Abort _ -> header_bytes
+  | Begin _ | Commit _ | Abort _ -> header_bytes
   | Update { old_data; new_data; _ } -> header_bytes + Bytes.length old_data + Bytes.length new_data
   | Index_insert { key; _ } | Index_delete { key; _ } -> header_bytes + Bytes.length key + Oid.disk_size
 
@@ -45,7 +44,7 @@ let append t r =
   t.total_bytes <- t.total_bytes + b;
   (match r with
    | Update _ -> t.update_bytes <- t.update_bytes + b
-   | Begin _ | Prepare _ | Commit _ | Abort _ | Index_insert _ | Index_delete _ -> ());
+   | Begin _ | Commit _ | Abort _ | Index_insert _ | Index_delete _ -> ());
   Int64.of_int (t.base + t.len)
 
 let force t =

@@ -13,10 +13,6 @@ type record =
       (** logical (idempotent) index-operation records; ESM logs index
           updates separately under its non-2PL index protocol *)
   | Index_delete of { txn : int; root : int; key : bytes; oid : Oid.t }
-  | Prepare of int
-      (** two-phase commit: the participant's durable yes-vote; a
-          prepared transaction survives a crash in-doubt until the
-          coordinator's decision arrives *)
   | Commit of int
   | Abort of int
 

@@ -9,16 +9,10 @@ module Point = struct
   let commit_ship_region = "commit.ship_region"
   let commit_region_torn = "commit.region_torn"
   let wal_force_partial = "wal.force_partial"
-  let prepare_pre_log = "prepare.pre_log"
-  let prepare_post_log = "prepare.post_log"
-  let prepare_mid_flush = "prepare.mid_flush"
   let abort_mid_undo = "abort.mid_undo"
   let evict_steal_write = "evict.steal_write"
   let checkpoint_mid_flush = "checkpoint.mid_flush"
   let disk_torn_write = "disk.torn_write"
-  let dist_pre_prepare = "dist.pre_prepare"
-  let dist_pre_decision = "dist.pre_decision"
-  let dist_mid_decision = "dist.mid_decision"
   let snapshot_trim = "snapshot.trim"
   let snapshot_materialize = "snapshot.materialize"
   let index_log_append = "index.log_append"
@@ -28,10 +22,8 @@ module Point = struct
   let all =
     [ commit_pre_log; commit_pre_flush; commit_mid_flush; commit_post_flush; commit_ship_page
     ; commit_ship_region; commit_region_torn
-    ; wal_force_partial; prepare_pre_log; prepare_post_log; prepare_mid_flush; abort_mid_undo
-    ; evict_steal_write; checkpoint_mid_flush; disk_torn_write; dist_pre_prepare
-    ; dist_pre_decision; dist_mid_decision; snapshot_trim; snapshot_materialize
-    ; index_log_append; index_merge_write; index_merge_swing ]
+    ; wal_force_partial; abort_mid_undo; evict_steal_write; checkpoint_mid_flush; disk_torn_write
+    ; snapshot_trim; snapshot_materialize; index_log_append; index_merge_write; index_merge_swing ]
 
   let mem p = List.mem p all
 end

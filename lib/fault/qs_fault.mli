@@ -3,9 +3,8 @@
 
     One injector ([t]) is threaded through a whole server stack: the
     {!Esm.Server} owns it, the {!Esm.Disk} consults it on every raw
-    page I/O, the {!Esm.Client} consults it on every page-ship request
-    and drives the retry/backoff machinery from its decisions, and
-    {!Esm.Dist_txn} reports the two-phase-commit coordinator steps.
+    page I/O, and the {!Esm.Client} consults it on every page-ship
+    request and drives the retry/backoff machinery from its decisions.
 
     The injector is passive until {!arm}ed: every instrumentation hook
     ({!hit}, {!disk_gate}, {!net_gate}) is a constant-time no-op that
@@ -40,12 +39,6 @@ module Point : sig
 
   val wal_force_partial : string  (** log force cut mid-stream: a prefix survives *)
 
-  val prepare_pre_log : string  (** before the Prepare record is appended *)
-
-  val prepare_post_log : string  (** Prepare forced: the participant is in-doubt *)
-
-  val prepare_mid_flush : string  (** between two page writes of the prepare flush *)
-
   val abort_mid_undo : string  (** between two undo records of a runtime abort *)
 
   val evict_steal_write : string  (** mid-transaction dirty-page steal to the server *)
@@ -53,12 +46,6 @@ module Point : sig
   val checkpoint_mid_flush : string  (** between two page flushes of a checkpoint *)
 
   val disk_torn_write : string  (** a disk page write persists only a body prefix *)
-
-  val dist_pre_prepare : string  (** 2PC coordinator: before any prepare is sent *)
-
-  val dist_pre_decision : string  (** 2PC: all voted yes, no decision delivered *)
-
-  val dist_mid_decision : string  (** 2PC: decision delivered to some participants *)
 
   val snapshot_trim : string  (** between two chain trims of a version-watermark sweep *)
 
@@ -162,8 +149,8 @@ val net_gate : t -> op:string -> page:int -> net_decision
 (** {2 Crash lifecycle} *)
 
 (** True from the moment a scheduled crash fires until {!clear_halt}:
-    the dead server refuses further requests ([Server_down]) so a
-    coordinator cannot keep talking to a crashed participant. *)
+    the dead server refuses further requests ([Server_down]), so no
+    client keeps talking to a crashed server. *)
 val halted : t -> bool
 
 (** Taken by [Server.crash]: the volatile state is gone, the (restarted)

@@ -5,8 +5,8 @@
 module Exp = Experiments
 module Qs_config = Quickstore.Qs_config
 
-let json_float = Qs_trace.json_float
-let json_string = Qs_trace.json_string
+let json_float = Qs_util.Json.float
+let json_string = Qs_util.Json.string
 let field k v = Printf.sprintf "\"%s\":%s" k v
 let json_object fields = "{" ^ String.concat "," fields ^ "}"
 

@@ -14,16 +14,13 @@
    - the in-flight transaction must be atomic: all-old or all-new,
      with the direction pinned down wherever the crash point
      determines it (e.g. [commit.pre_flush] is a loser,
-     [commit.post_flush] a winner);
-   - prepared 2PC participants must restart in-doubt and be resolvable
-     to BOTH decisions (checked on forked volumes) before the real
-     decision is applied everywhere and checked for global atomicity.
+     [commit.post_flush] a winner).
 
    Each crash point has one row in [table] naming its regime
-   (scheduled single-server, log-index or 2PC), the bound its firing
+   (scheduled or log-index, both on one server), the bound its firing
    hit is drawn from and the direction its in-flight transaction must
    take; every regime runs through one skeleton, [run_schedule].
-   Single-server schedules run 2-4 clients under the deterministic
+   Scheduled schedules run 2-4 clients under the deterministic
    scheduler (rotating with the seed; [--clients N] pins N, 1 included),
    so the crash also lands amid blocking lock waits, wound-wait
    deadlock aborts and client retries.
@@ -36,7 +33,6 @@ module Server = Esm.Server
 module Client = Esm.Client
 module Lock_mgr = Esm.Lock_mgr
 module Recovery = Esm.Recovery
-module Dist_txn = Esm.Dist_txn
 module Buf_pool = Esm.Buf_pool
 module Rng = Qs_util.Rng
 module Clock = Simclock.Clock
@@ -51,7 +47,7 @@ let repro ~seed ~clients =
 type outcome = {
   seed : int;
   point : string;  (* the armed crash point *)
-  clients : int;  (* concurrent clients in the schedule (1 for log-index and 2PC) *)
+  clients : int;  (* concurrent clients in the schedule (1 for log-index) *)
   fired : bool;
   txns : int;  (* transactions attempted before the crash *)
   transients : int;  (* transient faults injected (and retried) *)
@@ -87,11 +83,11 @@ let check_intact ~seed ~what ~model ~skip reads =
           (Bytes.to_string v) (Bytes.to_string model.(i)))
     reads
 
-(* Atomicity check on the in-flight transaction's objects; returns
-   [`Old] or [`New] as actually observed, updating the model. *)
+(* Atomicity check on the in-flight transaction's objects; the model
+   takes the new values when they survived. *)
 let check_in_flight ~seed ~what ~model ~expect in_flight reads =
   match in_flight with
-  | [] -> `Old
+  | [] -> ()
   | _ ->
     let dir_of (idx, newv) =
       if Bytes.equal reads.(idx) model.(idx) then `Old
@@ -113,8 +109,7 @@ let check_in_flight ~seed ~what ~model ~expect in_flight reads =
        failf "seed %d: %s: transaction should have been lost but its updates survived" seed what
      | `New, `Old ->
        failf "seed %d: %s: committed transaction lost its updates" seed what);
-    if first = `New then List.iter (fun (idx, newv) -> model.(idx) <- newv) in_flight;
-    first
+    if first = `New then List.iter (fun (idx, newv) -> model.(idx) <- newv) in_flight
 
 (* Exceptions that end a client's transaction loop: the crash and the
    retry exhaustions that stand for it, and, once the crash is in, a
@@ -125,11 +120,6 @@ let ends_loop ~crashed = function
     true
   | Lock_mgr.Deadlock _ -> crashed
   | _ -> false
-
-(* A lone server never prepares, so its restart finds nothing in doubt. *)
-let no_in_doubt ~seed = function
-  | [] -> ()
-  | _ :: _ -> failf "seed %d: unexpected in-doubt transactions on a single server" seed
 
 (* ------------------------------------------------------------------ *)
 (* The schedule skeleton.                                              *)
@@ -150,14 +140,13 @@ type row = {
 and regime = row -> seed:int -> clients:int -> rng:Rng.t -> world
 
 and world = {
-  servers : Server.t list;  (* crashed and restarted together, in this order *)
-  armed : Server.t;  (* its injector takes the crash; the others transients only *)
+  server : Server.t;  (* its injector takes the crash and the transients *)
   clients : int;  (* as reported in the outcome *)
   drive : (limit:int -> (int -> unit) -> exn option) -> unit;
       (* runs each client's transactions 1..limit through the given
          loop, which returns the exception that ended it early *)
   crash_clients : unit -> unit;
-  judge : fired:(string * int) option -> in_doubt:(Server.t -> int list) -> unit;
+  judge : fired:(string * int) option -> unit;
       (* checks the store after the crash and restart *)
   epilogue : unit -> unit;  (* fault-free work after the crash: the store must still work *)
   check : what:string -> unit;  (* full read-back against the model *)
@@ -174,14 +163,8 @@ let run_schedule row ~seed ~clients =
   let rng = Rng.create ((seed * 2) + 1) in
   let hit = 1 + Rng.int rng row.bound in
   let w = row.regime row ~seed ~clients ~rng in
-  let faults = List.map Server.fault_injector w.servers in
-  let armed = Server.fault_injector w.armed in
-  List.iter
-    (fun f ->
-      F.arm f
-        (if f == armed then { (transient_plan ~seed) with F.crash_point = Some (row.point, hit) }
-         else transient_plan ~seed:(seed + 1)))
-    faults;
+  let fault = Server.fault_injector w.server in
+  F.arm fault { (transient_plan ~seed) with F.crash_point = Some (row.point, hit) };
   let crashed = ref false and txns = ref 0 in
   let loop ~limit txn =
     let rec go i =
@@ -199,23 +182,26 @@ let run_schedule row ~seed ~clients =
   in
   let restart () =
     w.crash_clients ();
-    List.iter F.disarm faults;
-    List.iter Server.crash w.servers;
-    List.map (fun s -> (s, Recovery.restart ~sanitize:true s)) w.servers
+    F.disarm fault;
+    Server.crash w.server;
+    Recovery.restart ~sanitize:true w.server
   in
   let failure =
     match
       w.drive loop;
       if !crashed then begin
-        let fired = F.fired armed in
-        let stats = restart () in
-        w.judge ~fired ~in_doubt:(fun s -> (List.assq s stats).Recovery.in_doubt)
+        let fired = F.fired fault in
+        ignore (restart ());
+        w.judge ~fired
       end;
-      List.iter F.disarm faults;
+      F.disarm fault;
       w.epilogue ();
       w.check ~what:"epilogue";
-      (* Restart idempotency: a second clean crash/restart changes nothing. *)
-      ignore (restart ());
+      (* Restart idempotency: a second clean crash/restart finds no
+         loser to undo and changes nothing. *)
+      let again = restart () in
+      if again.Recovery.losers_undone > 0 then
+        failf "seed %d: second restart undid %d losers" seed again.Recovery.losers_undone;
       w.check ~what:"second restart"
     with
     | () -> None
@@ -225,13 +211,13 @@ let run_schedule row ~seed ~clients =
   { seed
   ; point = row.point
   ; clients = w.clients
-  ; fired = F.fired armed <> None
+  ; fired = F.fired fault <> None
   ; txns = !txns
-  ; transients = List.fold_left (fun n f -> n + F.transients_injected f) 0 faults
+  ; transients = F.transients_injected fault
   ; failure }
 
 (* ------------------------------------------------------------------ *)
-(* Scheduled single-server regime.                                     *)
+(* Scheduled regime.                                                   *)
 
 (* N simulated clients share the server under the deterministic
    scheduler (lib/sched) while the crash plan is armed, so blocking
@@ -480,8 +466,7 @@ let scheduled row ~seed ~clients ~rng:_ =
         | Some e -> failf "seed %d: task %s: unexpected %s" seed name (Printexc.to_string e))
       (Sched.run sched)
   in
-  let judge ~fired ~in_doubt =
-    no_in_doubt ~seed (in_doubt server);
+  let judge ~fired =
     let primary = ref None in
     Array.iteri
       (fun c e ->
@@ -500,10 +485,9 @@ let scheduled row ~seed ~clients ~rng:_ =
           | Some Server.Server_down | Some (Lock_mgr.Deadlock _) | None -> `Old
           | Some _ -> `Either
       in
-      ignore
-        (check_in_flight ~seed
-           ~what:(Printf.sprintf "post-restart client %d" c)
-           ~model ~expect in_flight.(c) reads)
+      check_in_flight ~seed
+        ~what:(Printf.sprintf "post-restart client %d" c)
+        ~model ~expect in_flight.(c) reads
     done
   in
   let check ~what = check_intact ~seed ~what ~model ~skip:[] (read_all cls.(0) oids) in
@@ -525,8 +509,7 @@ let scheduled row ~seed ~clients ~rng:_ =
           model.(idx) <- value ~seed ~idx ~version:v)
     done
   in
-  { servers = [ server ]
-  ; armed = server
+  { server
   ; clients
   ; drive
   ; crash_clients = (fun () -> Array.iter Client.crash cls)
@@ -601,10 +584,7 @@ let log_index _row ~seed ~clients:_ ~rng =
       failf "seed %d: %s: cardinal disagrees with range scan" seed what;
     Client.commit !client
   in
-  let judge ~fired:_ ~in_doubt =
-    no_in_doubt ~seed (in_doubt server);
-    check ~what:"post-restart"
-  in
+  let judge ~fired:_ = check ~what:"post-restart" in
   (* The index must still take writes and merge cleanly. *)
   let epilogue () =
     Client.begin_txn !client;
@@ -616,12 +596,11 @@ let log_index _row ~seed ~clients:_ ~rng =
     Log_index.merge ~force:true !idx;
     Client.commit !client
   in
-  { servers = [ server ]
-  ; armed = server
+  { server
   ; clients = 1
   ; drive =
-      (* Index and 2PC schedules drive their one client directly, not as
-         a scheduler task: under the scheduler every fresh page lock also
+      (* The index schedule drives its one client directly, not as a
+         scheduler task: under the scheduler every fresh page lock also
          refreshes the cached page ([Client.lock_page]), which adds RPCs
          and so would change these schedules. *)
       (fun loop -> ignore (loop ~limit:60 txn))
@@ -631,155 +610,14 @@ let log_index _row ~seed ~clients:_ ~rng =
   ; check }
 
 (* ------------------------------------------------------------------ *)
-(* Two-server (2PC) regime.                                            *)
-
-(* What each participant knows about the transaction after restart. *)
-type participant_state = In_doubt of int | Committed | Aborted
-
-let participant_state ~seed ~model ~in_flight ~in_doubt reads =
-  match in_doubt with
-  | [ txn ] -> In_doubt txn
-  | _ :: _ :: _ -> failf "seed %d: more than one in-doubt transaction" seed
-  | [] ->
-    (match
-       check_in_flight ~seed ~what:"participant" ~model:(Array.copy model) ~expect:`Either
-         in_flight reads
-     with
-    | `New -> Committed
-    | `Old -> Aborted)
-
-(* Fork the crashed participant and prove the in-doubt transaction can
-   go BOTH ways before the real decision is applied. *)
-let check_both_ways ~seed ~model ~in_flight ~oids server txn =
-  List.iter
-    (fun decision ->
-      let fork = Server.fork_crashed server in
-      let st = Recovery.restart ~sanitize:true fork in
-      if not (List.mem txn st.Recovery.in_doubt) then
-        failf "seed %d: fork lost the in-doubt transaction %d" seed txn;
-      Recovery.resolve_in_doubt fork txn decision;
-      let c = Client.create ~frames:16 fork in
-      let reads = read_all c oids in
-      let expect = match decision with `Commit -> `New | `Abort -> `Old in
-      check_intact ~seed ~what:"fork" ~model ~skip:(List.map fst in_flight) reads;
-      ignore
-        (check_in_flight ~seed ~what:"fork" ~model:(Array.copy model) ~expect in_flight reads))
-    [ `Abort; `Commit ]
-
-let two_phase row ~seed ~clients:_ ~rng =
-  let point = row.point in
-  let cm = Simclock.Cost_model.default in
-  let mk () =
-    let server = Server.create ~frames:64 ~fault:(F.create ()) ~clock:(Clock.create ()) ~cm () in
-    (server, Client.create ~frames:8 server)
-  in
-  let s1, c1 = mk () in
-  let s2, c2 = mk () in
-  let nobj = 4 in
-  let model1 = Array.init nobj (fun idx -> value ~seed ~idx ~version:0) in
-  let model2 = Array.init nobj (fun idx -> value ~seed ~idx:(idx + 100) ~version:0) in
-  let mk_world c model =
-    Array.init nobj (fun idx ->
-        Client.with_txn c (fun () -> Client.create_object_new_page c model.(idx)))
-  in
-  let oids1 = mk_world c1 model1 and oids2 = mk_world c2 model2 in
-  (* The crash rides on the coordinator's site for dist.* points and on
-     participant 2 for prepare.*; the other site gets transients only. *)
-  let crash_on_f1 = point = F.Point.dist_pre_prepare || point = F.Point.dist_pre_decision
-                    || point = F.Point.dist_mid_decision in
-  let fl1 = ref [] and fl2 = ref [] in
-  let txn i =
-    let i1 = Rng.int rng nobj and i2 = Rng.int rng nobj in
-    let n1 = value ~seed ~idx:i1 ~version:i in
-    let n2 = value ~seed ~idx:(i2 + 100) ~version:i in
-    fl1 := [ (i1, n1) ];
-    fl2 := [ (i2, n2) ];
-    let d = Dist_txn.begin_txn ~fault:(Server.fault_injector s1) [ c1; c2 ] in
-    Client.update_object c1 oids1.(i1) ~off:0 n1;
-    Client.update_object c2 oids2.(i2) ~off:0 n2;
-    if i mod 5 = 0 then Dist_txn.abort d
-    else begin
-      Dist_txn.commit d;
-      model1.(i1) <- n1;
-      model2.(i2) <- n2
-    end
-  in
-  let judge ~fired ~in_doubt =
-    let fl1 = !fl1 and fl2 = !fl2 in
-    let reads1 = read_all c1 oids1 and reads2 = read_all c2 oids2 in
-    check_intact ~seed ~what:"site 1" ~model:model1 ~skip:(List.map fst fl1) reads1;
-    check_intact ~seed ~what:"site 2" ~model:model2 ~skip:(List.map fst fl2) reads2;
-    let p1 = participant_state ~seed ~model:model1 ~in_flight:fl1 ~in_doubt:(in_doubt s1) reads1 in
-    let p2 = participant_state ~seed ~model:model2 ~in_flight:fl2 ~in_doubt:(in_doubt s2) reads2 in
-    (* In-doubt participants must be resolvable both ways. *)
-    (match p1 with
-     | In_doubt txn -> check_both_ways ~seed ~model:model1 ~in_flight:fl1 ~oids:oids1 s1 txn
-     | Committed | Aborted -> ());
-    (match p2 with
-     | In_doubt txn -> check_both_ways ~seed ~model:model2 ~in_flight:fl2 ~oids:oids2 s2 txn
-     | Committed | Aborted -> ());
-    (* The real decision: commit iff some participant already committed
-       (it can no longer abort); presumed abort otherwise. Mixed
-       terminal states are an atomicity bug. *)
-    (match (p1, p2) with
-     | Committed, Aborted | Aborted, Committed ->
-       failf "seed %d: participants decided differently" seed
-     | _ -> ());
-    let decision = if p1 = Committed || p2 = Committed then `Commit else `Abort in
-    if decision = `Commit && expectation row ~entered_abort:false fired = `Old then
-      failf "seed %d: crash at %s must not leave a committed participant" seed point;
-    (match p1 with
-     | In_doubt txn -> Recovery.resolve_in_doubt s1 txn decision
-     | Committed | Aborted -> ());
-    (match p2 with
-     | In_doubt txn -> Recovery.resolve_in_doubt s2 txn decision
-     | Committed | Aborted -> ());
-    (* The pre-resolution read-back cached the redone (new) pages at
-       the clients; resolution changed them server-side. *)
-    Client.crash c1;
-    Client.crash c2;
-    let expect = match decision with `Commit -> `New | `Abort -> `Old in
-    ignore
-      (check_in_flight ~seed ~what:"site 1 resolved" ~model:model1 ~expect fl1 (read_all c1 oids1));
-    ignore
-      (check_in_flight ~seed ~what:"site 2 resolved" ~model:model2 ~expect fl2 (read_all c2 oids2))
-  in
-  let check ~what =
-    check_intact ~seed ~what:(what ^ " site 1") ~model:model1 ~skip:[] (read_all c1 oids1);
-    check_intact ~seed ~what:(what ^ " site 2") ~model:model2 ~skip:[] (read_all c2 oids2)
-  in
-  (* One clean distributed commit, then full read-back. *)
-  let epilogue () =
-    let d = Dist_txn.begin_txn [ c1; c2 ] in
-    let n1 = value ~seed ~idx:0 ~version:9999 and n2 = value ~seed ~idx:100 ~version:9999 in
-    Client.update_object c1 oids1.(0) ~off:0 n1;
-    Client.update_object c2 oids2.(0) ~off:0 n2;
-    Dist_txn.commit d;
-    model1.(0) <- n1;
-    model2.(0) <- n2
-  in
-  { servers = [ s1; s2 ]
-  ; armed = (if crash_on_f1 then s1 else s2)
-  ; clients = 1
-  ; drive = (fun loop -> ignore (loop ~limit:40 txn))
-  ; crash_clients =
-      (fun () ->
-        Client.crash c1;
-        Client.crash c2)
-  ; judge
-  ; epilogue
-  ; check }
-
-(* ------------------------------------------------------------------ *)
 (* The crash-point table: exactly one row per registered point.        *)
 
 (* Bounds follow how often each point is hit per transaction: once per
-   2PC round for prepare.* / dist.*, once per page in every scan for
-   snapshot.materialize, once per reclamation pass for snapshot.trim,
-   once per insert or tombstone for index.log_append, once per
-   merged-run page for index.merge_write and once per merge for
-   index.merge_swing. wal.force_partial and disk.torn_write land
-   either way, depending on the cut. *)
+   page in every scan for snapshot.materialize, once per reclamation
+   pass for snapshot.trim, once per insert or tombstone for
+   index.log_append, once per merged-run page for index.merge_write and
+   once per merge for index.merge_swing. wal.force_partial and
+   disk.torn_write land either way, depending on the cut. *)
 let table =
   let row regime point bound direction = { point; regime; bound; direction } in
   F.Point.
@@ -791,16 +629,10 @@ let table =
     ; row scheduled commit_ship_region 20 `Old
     ; row scheduled commit_region_torn 20 `Old
     ; row scheduled wal_force_partial 12 `Either
-    ; row two_phase prepare_pre_log 6 `Old
-    ; row two_phase prepare_post_log 6 `Old
-    ; row two_phase prepare_mid_flush 6 `Old
     ; row scheduled abort_mid_undo 6 `Old
     ; row scheduled evict_steal_write 15 `Old
     ; row scheduled checkpoint_mid_flush 6 `Either
     ; row scheduled disk_torn_write 25 `Either
-    ; row two_phase dist_pre_prepare 6 `Old
-    ; row two_phase dist_pre_decision 6 `Old
-    ; row two_phase dist_mid_decision 6 `Either
     ; row scheduled snapshot_trim 4 `Either
     ; row scheduled snapshot_materialize 15 `Either
     ; row log_index index_log_append 60 `Old
@@ -818,10 +650,10 @@ let row_of_point point =
 let points = F.Point.all
 let point_of_seed seed = List.nth points (seed mod List.length points)
 
-(* Concurrency of a single-server schedule: 2..4 clients, rotating
+(* Concurrency of a scheduled schedule: 2..4 clients, rotating
    with the seed so a contiguous sweep covers every width at every
-   crash point. [?clients] pins it instead. Log-index and 2PC
-   schedules run one client per server regardless. *)
+   crash point. [?clients] pins it instead. Log-index schedules run
+   one client regardless. *)
 let clients_of_seed seed = 2 + (seed mod 3)
 
 let run_seed ?clients ~seed () =

@@ -5,7 +5,7 @@ type span_row = {
   sr_name : string;
   sr_cat : string;
   mutable sr_count : int;
-  mutable sr_wall_us : float;
+  mutable sr_sim_us : float;
   sr_us : float array;
   sr_events : int array;
 }
@@ -36,7 +36,7 @@ let of_trace trace =
         { sr_name = name
         ; sr_cat = cat
         ; sr_count = 0
-        ; sr_wall_us = 0.0
+        ; sr_sim_us = 0.0
         ; sr_us = Array.make Category.count 0.0
         ; sr_events = Array.make Category.count 0 }
       in
@@ -56,7 +56,7 @@ let of_trace trace =
       | Qs_trace.Ev_end { id; ts } -> (
         match !stack with
         | (id', r, t0) :: tl when id' = id ->
-          r.sr_wall_us <- r.sr_wall_us +. (ts -. t0);
+          r.sr_sim_us <- r.sr_sim_us +. (ts -. t0);
           stack := tl
         | _ ->
           (* Tolerate unbalanced traces (span left open across a raise
@@ -115,12 +115,12 @@ let render t =
   if t.spans <> [] then begin
     Buffer.add_string b "spans (inclusive)\n";
     Buffer.add_string b
-      (Printf.sprintf "  %-24s %8s %12s %12s\n" "name" "count" "wall ms" "charged ms");
+      (Printf.sprintf "  %-24s %8s %12s %12s\n" "name" "count" "sim ms" "charged ms");
     List.iter
       (fun r ->
         Buffer.add_string b
           (Printf.sprintf "  %-24s %8d %12.3f %12.3f\n" r.sr_name r.sr_count
-             (r.sr_wall_us /. 1000.0)
+             (r.sr_sim_us /. 1000.0)
              (Array.fold_left ( +. ) 0.0 r.sr_us /. 1000.0)))
       t.spans
   end;

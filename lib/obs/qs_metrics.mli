@@ -19,7 +19,7 @@ type span_row = {
   sr_name : string;
   sr_cat : string;
   mutable sr_count : int;  (** times a span of this name was opened *)
-  mutable sr_wall_us : float;  (** summed simulated end - begin *)
+  mutable sr_sim_us : float;  (** summed simulated end - begin *)
   sr_us : float array;  (** inclusive charged us per category *)
   sr_events : int array;
 }

@@ -141,33 +141,7 @@ let iter f t =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export.                                          *)
 
-let buf_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  buf_json_string b s;
-  Buffer.contents b
-
-(* Shortest decimal that round-trips, so exports are stable and exact. *)
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+module Json = Qs_util.Json
 
 let buf_args b args =
   Buffer.add_char b '{';
@@ -176,17 +150,17 @@ let buf_args b args =
       if i > 0 then Buffer.add_char b ',';
       match a with
       | A_int (k, v) ->
-        buf_json_string b k;
+        Json.buf_string b k;
         Buffer.add_char b ':';
         Buffer.add_string b (string_of_int v)
       | A_str (k, v) ->
-        buf_json_string b k;
+        Json.buf_string b k;
         Buffer.add_char b ':';
-        buf_json_string b v
+        Json.buf_string b v
       | A_float (k, v) ->
-        buf_json_string b k;
+        Json.buf_string b k;
         Buffer.add_char b ':';
-        Buffer.add_string b (json_float v))
+        Buffer.add_string b (Json.float v))
     args;
   Buffer.add_char b '}'
 
@@ -213,13 +187,13 @@ let to_chrome ?(include_charges = false) t =
   let emit_common ~name ~cat ~ph ~ts =
     if !first then first := false else Buffer.add_char b ',';
     Buffer.add_string b "{\"name\":";
-    buf_json_string b name;
+    Json.buf_string b name;
     Buffer.add_string b ",\"cat\":";
-    buf_json_string b cat;
+    Json.buf_string b cat;
     Buffer.add_string b ",\"ph\":\"";
     Buffer.add_string b ph;
     Buffer.add_string b "\",\"ts\":";
-    Buffer.add_string b (json_float ts);
+    Buffer.add_string b (Json.float ts);
     Buffer.add_string b ",\"pid\":1,\"tid\":1"
   in
   iter
@@ -229,7 +203,7 @@ let to_chrome ?(include_charges = false) t =
         let te = match Hashtbl.find_opt ends id with Some e -> e | None -> !last_ts in
         emit_common ~name ~cat ~ph:"X" ~ts;
         Buffer.add_string b ",\"dur\":";
-        Buffer.add_string b (json_float (te -. ts));
+        Buffer.add_string b (Json.float (te -. ts));
         if args <> [] then begin
           Buffer.add_string b ",\"args\":";
           buf_args b args

@@ -1,9 +1,8 @@
 (* Qs_fault tests: plan parsing, disarmed bit-identity, crash-point
    firing and halt semantics, typed I/O exceptions, client retry /
    degradation under transient faults, crash outcomes (loser vs winner,
-   torn write, partial log force), and in-doubt 2PC resolution to both
-   decisions after a prepare-point crash; the torture harness's
-   crash-point table covers the registry, one schedule per point. *)
+   torn write, partial log force); the torture harness's crash-point
+   table covers the registry, one schedule per point. *)
 
 module F = Qs_fault
 module Server = Esm.Server
@@ -57,7 +56,7 @@ let test_plan_of_spec () =
   invalid "crash=commit.mid_flush"
 
 let test_point_registry () =
-  Alcotest.(check int) "twenty-three points" 23 (List.length F.Point.all);
+  Alcotest.(check int) "seventeen points" 17 (List.length F.Point.all);
   List.iter (fun p -> Alcotest.(check bool) p true (F.Point.mem p)) F.Point.all;
   let t = F.create () in
   (match F.hit t "not.registered" with
@@ -254,40 +253,6 @@ let test_partial_log_force_is_atomic () =
      atomic whichever way they land. *)
   ignore (List.map outcome [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
-(* --- in-doubt 2PC: crash after the prepare record is durable --- *)
-
-let test_prepared_in_doubt_both_ways () =
-  let fault, s, c = mk () in
-  let oid = setup_object c "undecided" in
-  F.crash_at fault ~point:F.Point.prepare_post_log ~hit:1;
-  Client.begin_txn c;
-  let txn = Client.txn_id c in
-  Client.update_object c oid ~off:0 (Bytes.of_string "committed");
-  (match Client.prepare c with
-   | () -> Alcotest.fail "prepare should crash"
-   | exception F.Injected_crash { point; _ } ->
-     Alcotest.(check string) "at post_log" F.Point.prepare_post_log point);
-  Client.crash c;
-  F.disarm fault;
-  Server.crash s;
-  let stats = Recovery.restart ~sanitize:true s in
-  Alcotest.(check (list int)) "participant restarts in doubt" [ txn ] stats.Recovery.in_doubt;
-  (* Fork the recovered volume and drive the SAME in-doubt transaction
-     to both decisions. *)
-  let fork = Server.fork_crashed s in
-  let fstats = Recovery.restart ~sanitize:true fork in
-  Alcotest.(check (list int)) "fork is in doubt too" [ txn ] fstats.Recovery.in_doubt;
-  Recovery.resolve_in_doubt fork txn `Abort;
-  Alcotest.(check string) "abort restores the before-image" "undecided" (read_back fork oid);
-  Recovery.resolve_in_doubt s txn `Commit;
-  Alcotest.(check string) "commit makes the update durable" "committed" (read_back s oid);
-  (* Decisions are durable: another crash/restart leaves no doubt. *)
-  Server.crash s;
-  let again = Recovery.restart ~sanitize:true s in
-  Alcotest.(check (list int)) "resolved" [] again.Recovery.in_doubt;
-  Alcotest.(check string) "still committed" "committed" (read_back s oid)
-
-
 (* --- torture harness --- *)
 
 let test_torture_table () =
@@ -328,9 +293,6 @@ let () =
         ; Alcotest.test_case "disk read transients retried" `Quick test_transient_disk_reads_retried
         ; Alcotest.test_case "net drop/dup/delay" `Quick test_net_drop_dup_delay
         ; Alcotest.test_case "degrades after retry budget" `Quick test_degraded_after_retry_budget ] )
-    ; ( "two-phase"
-      , [ Alcotest.test_case "prepare crash: in-doubt both ways" `Quick
-            test_prepared_in_doubt_both_ways ] )
     ; ( "torture"
       , [ Alcotest.test_case "one table row per crash point" `Quick test_torture_table
         ; Alcotest.test_case "one seed per crash point" `Quick test_torture_one_seed_per_point ] ) ]

@@ -122,7 +122,16 @@ let test_totals_match_clock () =
     Alcotest.(check int) "txn opened once" 1 row.Qs_metrics.sr_count;
     Alcotest.(check int64) "txn inclusive us == clock total"
       (Int64.bits_of_float (Clock.total_us clock))
-      (Int64.bits_of_float (Array.fold_left ( +. ) 0.0 row.Qs_metrics.sr_us))
+      (Int64.bits_of_float (Array.fold_left ( +. ) 0.0 row.Qs_metrics.sr_us));
+    (* The span column is simulated end - begin, and the rendered
+       table labels it as simulated time. *)
+    Alcotest.(check int64) "txn sim us == clock total"
+      (Int64.bits_of_float (Clock.total_us clock))
+      (Int64.bits_of_float row.Qs_metrics.sr_sim_us);
+    Alcotest.(check bool) "span header says sim ms" true
+      (List.mem
+         (Printf.sprintf "  %-24s %8s %12s %12s" "name" "count" "sim ms" "charged ms")
+         (String.split_on_char '\n' (Qs_metrics.render m)))
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export: well-formed JSON with the right shape.
@@ -310,12 +319,12 @@ let test_chrome_json () =
    escape to valid JSON that parses back to the original, NaN is null. *)
 let test_json_encoders () =
   let raw = "a\\b\"c\n\001" in
-  let enc = Qs_trace.json_string raw in
+  let enc = Qs_util.Json.string raw in
   Alcotest.(check string) "escaped" "\"a\\\\b\\\"c\\n\\u0001\"" enc;
   Alcotest.(check bool) "round trip" true (parse_json enc = J_str raw);
-  Alcotest.(check string) "nan" "null" (Qs_trace.json_float Float.nan);
-  Alcotest.(check string) "integer" "3" (Qs_trace.json_float 3.0);
-  Alcotest.(check string) "fraction" "0.1" (Qs_trace.json_float 0.1)
+  Alcotest.(check string) "nan" "null" (Qs_util.Json.float Float.nan);
+  Alcotest.(check string) "integer" "3" (Qs_util.Json.float 3.0);
+  Alcotest.(check string) "fraction" "0.1" (Qs_util.Json.float 0.1)
 
 (* ------------------------------------------------------------------ *)
 (* Disarmed cost: the layer must not allocate on the charge path, and
