@@ -124,7 +124,7 @@ let run system size ops seed hot_reps reloc sanitize log_index faults verbose sa
         exit 2
       | exception Qs_fault.Injected_crash { point; hit } ->
         Printf.printf "  CRASHED at injected point %s (hit %d); volume recoverable via restart\n%!"
-          point hit;
+          (Qs_fault.Point.name point) hit;
         exit 2)
     ops
   end

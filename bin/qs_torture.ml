@@ -12,24 +12,30 @@ let run seeds first clients verbose =
     first
     (first + seeds - 1)
     s.Torture.transients_total;
-  Printf.printf "%-22s %9s %6s\n" "crash point" "schedules" "fired";
   let unfired = ref [] in
-  List.iter
-    (fun (point, sched, fired) ->
-      Printf.printf "%-22s %9d %6d\n" point sched fired;
-      if sched > 0 && fired = 0 then unfired := point :: !unfired)
-    s.Torture.coverage;
+  let table ?(where = "") header rows =
+    Printf.printf "%-22s %9s %6s\n" "crash point" header "fired";
+    List.iter
+      (fun (point, armed, fired) ->
+        let name = Qs_fault.Point.name point in
+        Printf.printf "%-22s %9d %6d\n" name armed fired;
+        if armed > 0 && fired = 0 then unfired := (name ^ where) :: !unfired)
+      rows
+  in
+  table "schedules" s.Torture.coverage;
+  Printf.printf "first restart cut at a drawn point:\n";
+  table ~where:" (in restart)" "restarts" s.Torture.restart_coverage;
   List.iter
     (fun o ->
       Printf.printf "FAIL seed %d [%s, %d clients]: %s\n  repro: %s\n" o.Torture.seed
-        o.Torture.point o.Torture.clients
+        (Qs_fault.Point.name o.Torture.point) o.Torture.clients
         (match o.Torture.failure with Some m -> m | None -> "")
         (Torture.repro ~seed:o.Torture.seed ~clients:o.Torture.clients))
     s.Torture.failed;
   (match !unfired with
    | [] -> ()
    | ps ->
-     Printf.printf "note: scheduled crash never fired for: %s\n" (String.concat ", " (List.rev ps)));
+     Printf.printf "note: armed crash never fired for: %s\n" (String.concat ", " (List.rev ps)));
   match s.Torture.failed with
   | [] ->
     Printf.printf "torture: all %d schedules consistent\n" s.Torture.total;

@@ -22,7 +22,7 @@ type event = {
   ev_col : int;
   comps : string list;  (** flattened identifier components, e.g. ["Esm"; "Server"; "lock"] *)
   lock_arg : lock_class option;  (** literal [Page_lock]/[File_lock] constructor among the args *)
-  point_arg : string option;  (** [Qs_fault.Point.x] among the args — the crash-point name [x] *)
+  point_arg : string option;  (** [Qs_fault.Point.X] among the args — the crash-point name [x] *)
   raise_arg : string option;  (** for raise-family calls, the exception constructor *)
   in_protect : bool;  (** inside a [Fun.protect ~finally] thunk *)
   in_handler : bool;  (** inside a [try ... with] / [match ... with exception] handler *)
@@ -93,12 +93,12 @@ let lock_class_of_arg a =
     | _ -> None)
   | _ -> None
 
-(* [Qs_fault.Point.commit_pre_log] (or just [Point.x]) among the args. *)
+(* [Qs_fault.Point.Commit_pre_log] (or just [Point.X]) among the args, as [commit_pre_log]. *)
 let point_of_arg a =
   match (strip_expr a).pexp_desc with
-  | Pexp_ident { txt; _ } -> (
+  | Pexp_construct ({ txt; _ }, None) -> (
     match last_two (Longident.flatten txt) with
-    | Some last, Some "Point" -> Some last
+    | Some last, Some "Point" -> Some (String.uncapitalize_ascii last)
     | _ -> None)
   | _ -> None
 

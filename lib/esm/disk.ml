@@ -90,7 +90,7 @@ let write t id src =
       | Some f -> (match Qs_fault.fired f with Some (_, h) -> h | None -> 0)
       | None -> 0
     in
-    raise (Qs_fault.Injected_crash { point = Qs_fault.Point.disk_torn_write; hit })
+    raise (Qs_fault.Injected_crash { point = Qs_fault.Point.Disk_torn_write; hit })
 
 (* Sanitizer back door: no fault gate (a peek must never advance the
    injector's RNG or hit a crash point) and no counter bump (peeks are

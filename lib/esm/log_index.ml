@@ -497,7 +497,7 @@ let do_merge t ~force =
         let body_len = Page.page_size - hdr in
         let rest = ref merged in
         for p = 0 to needed - 1 do
-          Qs_fault.hit (fault t) Qs_fault.Point.index_merge_write;
+          Qs_fault.hit (fault t) Qs_fault.Point.Index_merge_write;
           let cnt = min per (count - (p * per)) in
           fc.(p) <- cnt;
           with_page t pool.(p) (fun frame b ->
@@ -539,7 +539,7 @@ let do_merge t ~force =
         done;
         charge_n t (needed + ndir_new);
         (* swing: one logged update covering every root field *)
-        Qs_fault.hit (fault t) Qs_fault.Point.index_merge_swing;
+        Qs_fault.hit (fault t) Qs_fault.Point.Index_merge_swing;
         with_page t t.root (fun frame b ->
             let old = Bytes.sub b hdr (root_extent - hdr) in
             Qs_util.Codec.set_u8 b 33 b_area;
@@ -574,7 +574,7 @@ let merge ?(force = false) t =
 (* Writes.                                                             *)
 
 let append_binding t ins key oid =
-  Qs_fault.hit (fault t) Qs_fault.Point.index_log_append;
+  Qs_fault.hit (fault t) Qs_fault.Point.Index_log_append;
   if t.log_len >= log_cap t then do_merge t ~force:false;
   let es = per_log t in
   let esz = 1 + t.klen + Oid.disk_size in

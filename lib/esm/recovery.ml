@@ -1,38 +1,54 @@
-[@@@qs_lint.allow "QS001"] (* redo/undo applies log images to raw disk pages; no VM exists at restart *)
-[@@@qs_lint.allow "QS013"]
-(* Recovery runs after the injector halted the process: the torture
-   harness restarts with the injector disarmed, so these forces have no
-   crash surface by design. Crash-during-recovery is future work
-   (ROADMAP); until then the bare Wal.force sites here are intentional. *)
+[@@@qs_lint.allow "QS001"] (* redo applies log images to raw disk pages; no VM exists at restart *)
 
 type stats = {
-  redo_applied : int;
-  redo_skipped : int;
   logical_replayed : int;
   losers_undone : int;
   loser_updates_undone : int;
 }
 
-let txn_of = function
-  | Wal.Begin txn | Wal.Commit txn | Wal.Abort txn -> txn
-  | Wal.Update { txn; _ } | Wal.Index_insert { txn; _ } | Wal.Index_delete { txn; _ } -> txn
-
 let restart ?(sanitize = false) server =
   let wal = Server.wal server in
   let disk = Server.disk server in
   let wal_end = Wal.last_lsn wal in
-  (* --- analysis --- *)
-  let started = Hashtbl.create 16 and finished = Hashtbl.create 16 in
+  (* --- analysis: finished transactions, and each unfinished one's
+     undoable records, newest first --- *)
+  let finished = Hashtbl.create 16 and unfinished = Hashtbl.create 16 in
+  let push txn r = Hashtbl.replace unfinished txn (r :: Hashtbl.find unfinished txn) in
   Wal.iter_forced
     (fun _lsn r ->
       match r with
-      | Wal.Begin txn -> Hashtbl.replace started txn ()
-      | Wal.Commit txn | Wal.Abort txn -> Hashtbl.replace finished txn ()
+      | Wal.Begin txn -> Hashtbl.replace unfinished txn []
+      | Wal.Commit txn | Wal.Abort txn ->
+        Hashtbl.replace finished txn ();
+        Hashtbl.remove unfinished txn
+      | Wal.Update { txn; page; _ } when Disk.is_allocated disk page -> push txn r
+      | (Wal.Index_insert { txn; root; _ } | Wal.Index_delete { txn; root; _ })
+        when Disk.is_allocated disk root ->
+        push txn r
       | Wal.Update _ | Wal.Index_insert _ | Wal.Index_delete _ -> ())
     wal;
-  let is_loser txn = Hashtbl.mem started txn && not (Hashtbl.mem finished txn) in
+  let losers =
+    Hashtbl.fold (fun txn rs acc -> (txn, rs) :: acc) unfinished []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
+  in
+  (* QSan: undoing losers one at a time equals one newest-first sweep
+     over all of them only if no two losers updated the same page.
+     Strict 2PL X page locks give that. *)
+  if sanitize then begin
+    let owner = Hashtbl.create 16 in
+    let claim txn = function
+      | Wal.Update { page; _ } -> (
+        match Hashtbl.find_opt owner page with
+        | Some other when other <> txn ->
+          Qs_util.Sanitizer.fail ~check:"loser-disjoint" ~subject:(Printf.sprintf "page %d" page)
+            "losers %d and %d both updated the page" other txn
+        | Some _ | None -> Hashtbl.replace owner page txn)
+      | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ()
+    in
+    List.iter (fun (txn, rs) -> List.iter (claim txn) rs) losers
+  end;
+  List.iter (fun (txn, rs) -> Server.adopt_loser server ~txn rs) losers;
   (* --- redo (physical, all transactions, LSN-guarded) --- *)
-  let redo_applied = ref 0 and redo_skipped = ref 0 in
   let buf = Bytes.create Page.page_size in
   Wal.iter_forced
     (fun lsn r ->
@@ -49,10 +65,8 @@ let restart ?(sanitize = false) server =
         if Int64.compare page_lsn lsn < 0 then begin
           Bytes.blit new_data 0 buf off (Bytes.length new_data);
           Qs_util.Codec.set_i64 buf 8 lsn;
-          Disk.write disk page buf;
-          incr redo_applied
+          Disk.write disk page buf
         end
-        else incr redo_skipped
       | Wal.Update _ | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Index_insert _
       | Wal.Index_delete _ -> ())
     wal;
@@ -70,43 +84,12 @@ let restart ?(sanitize = false) server =
       | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Update _ | Wal.Commit _
       | Wal.Abort _ -> ())
     wal;
-  (* --- undo losers, newest record first --- *)
-  let loser_records = ref [] in
-  Wal.iter_forced
-    (fun _lsn r -> if is_loser (txn_of r) then loser_records := r :: !loser_records)
-    wal;
-  let loser_updates_undone = ref 0 in
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Update { txn; page; off; old_data; new_data } when Disk.is_allocated disk page ->
-        let clr =
-          Wal.append wal (Wal.Update { txn; page; off; old_data = new_data; new_data = old_data })
-        in
-        Disk.read disk page buf;
-        Bytes.blit old_data 0 buf off (Bytes.length old_data);
-        Qs_util.Codec.set_i64 buf 8 clr;
-        Disk.write disk page buf;
-        incr loser_updates_undone
-      | Wal.Index_insert { txn; root; key; oid } when Disk.is_allocated disk root ->
-        let inv = Wal.Index_delete { txn; root; key; oid } in
-        ignore (Wal.append wal inv);
-        Btree.apply_logical client inv;
-        incr loser_updates_undone
-      | Wal.Index_delete { txn; root; key; oid } when Disk.is_allocated disk root ->
-        let inv = Wal.Index_insert { txn; root; key; oid } in
-        ignore (Wal.append wal inv);
-        Btree.apply_logical client inv;
-        incr loser_updates_undone
-      | Wal.Update _ | Wal.Index_insert _ | Wal.Index_delete _ | Wal.Begin _ | Wal.Commit _
-      | Wal.Abort _ -> ())
-    !loser_records;
-  let losers = Hashtbl.fold (fun txn () acc -> if is_loser txn then txn :: acc else acc) started [] in
-  List.iter (fun txn -> ignore (Wal.append wal (Wal.Abort txn))) losers;
+  (* --- undo: each loser is aborted like a runtime transaction, its
+     inverse index operations applied through the restart client --- *)
+  Btree.install_undo_handler client;
+  List.iter (fun (txn, _) -> Server.abort server ~txn) losers;
   Client.commit client;
-  ignore (Wal.force wal);
-  { redo_applied = !redo_applied
-  ; redo_skipped = !redo_skipped
-  ; logical_replayed = !logical_replayed
+  Server.set_index_undo server (fun _ -> ());
+  { logical_replayed = !logical_replayed
   ; losers_undone = List.length losers
-  ; loser_updates_undone = !loser_updates_undone }
+  ; loser_updates_undone = List.fold_left (fun n (_, rs) -> n + List.length rs) 0 losers }

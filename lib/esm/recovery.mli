@@ -3,13 +3,14 @@
     Call after {!Server.crash}. Three phases, ARIES-flavoured:
 
     - {b analysis}: classify transactions into finished (Commit/Abort
-      record present) and losers;
+      record present) and losers, collecting each loser's records;
     - {b redo}: replay physical update records in LSN order against the
       disk image, guarded by page LSNs; then replay logical index
       records of finished transactions (idempotent);
-    - {b undo}: apply losers' before-images in reverse, logging
-      compensations, invert their logical index operations, and write
-      Abort records.
+    - {b undo}: abort each loser through {!Server.adopt_loser} and
+      {!Server.abort}, one at a time. Compensations are thus forced
+      before any undone page reaches the disk, and a crash inside
+      restart leaves a log the next restart can finish from.
 
     Known limitation (documented in DESIGN.md): a B-tree structural
     change (split) is crash-atomic only at commit boundaries; a loser
@@ -19,16 +20,17 @@
 
 (** Run restart recovery; returns statistics. *)
 type stats = {
-  redo_applied : int;
-  redo_skipped : int;
   logical_replayed : int;
   losers_undone : int;
   loser_updates_undone : int;
 }
 
 (** [restart ?sanitize server] runs the three phases. With
-    [~sanitize:true] the redo pass additionally fail-fasts (raising
-    [Qs_util.Sanitizer.Sanitizer_violation], check ["lsn-monotone"])
+    [~sanitize:true] it additionally fail-fasts, raising
+    [Qs_util.Sanitizer.Sanitizer_violation]: check ["lsn-monotone"]
     when a disk page carries an LSN beyond the end of the forced log —
-    evidence of a write that bypassed write-ahead ordering. *)
+    evidence of a write that bypassed write-ahead ordering — and check
+    ["loser-disjoint"] when two losers logged updates to the same page,
+    which strict two-phase locking rules out and loser-at-a-time undo
+    relies on. *)
 val restart : ?sanitize:bool -> Server.t -> stats

@@ -21,7 +21,6 @@ type counters = {
   mutable snapshot_deltas_applied : int;  (* undo deltas applied across those reads *)
 }
 
-exception Injected_crash
 exception Server_down
 exception Bad_txn of { op : string; txn : int }
 
@@ -39,7 +38,6 @@ type t = {
   mutable txn_updates : (int, Wal.record list ref) Hashtbl.t;  (* newest first *)
   mutable txn_dirty : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* server-side pages to flush *)
   mutable index_undo : Wal.record -> unit;
-  mutable fail_after_writes : int option;  (* fault injection: crash mid-flush *)
   fault : Qs_fault.t;  (* Qs_fault injector shared with the disk *)
   mutable group_commit : bool;
   mutable last_force : (float * int) option;
@@ -117,7 +115,6 @@ let create_with_disk ?(frames = 4608) ?fault ~disk ~clock ~cm () =
   ; txn_updates = Hashtbl.create 8
   ; txn_dirty = Hashtbl.create 8
   ; index_undo = (fun _ -> ())
-  ; fail_after_writes = None
   ; fault
   ; group_commit = false
   ; last_force = None
@@ -177,14 +174,20 @@ let check_up t = if Qs_fault.halted t.fault then raise Server_down
    blocking lock waits inside remain legal suspension points. *)
 let serve f = Sched.atomically f
 
+(* A new transaction, or a loser restart hands back with its records. *)
+let enroll t ~txn records =
+  Hashtbl.replace t.active txn ();
+  Hashtbl.replace t.txn_updates txn (ref records);
+  Hashtbl.replace t.txn_dirty txn (Hashtbl.create 32);
+  t.next_txn <- max t.next_txn (txn + 1)
+
+let adopt_loser = enroll
+
 let begin_txn ?client t =
   serve @@ fun () ->
   check_up t;
   let txn = t.next_txn in
-  t.next_txn <- txn + 1;
-  Hashtbl.replace t.active txn ();
-  Hashtbl.replace t.txn_updates txn (ref []);
-  Hashtbl.replace t.txn_dirty txn (Hashtbl.create 32);
+  enroll t ~txn [];
   (match client with Some c -> Hashtbl.replace t.txn_owner txn c | None -> ());
   ignore (Wal.append t.wal (Wal.Begin txn));
   txn
@@ -372,7 +375,7 @@ let flush_frame ?(charged = true) t frame =
          separately. wal.force_partial: this force too can be cut
          mid-stream (QS013) — a seeded fraction of the unforced tail
          becomes durable, then the process dies before the page write. *)
-      Qs_fault.hit t.fault Qs_fault.Point.wal_force_partial ~on_fire:(fun ~frac ->
+      Qs_fault.hit t.fault Qs_fault.Point.Wal_force_partial ~on_fire:(fun ~frac ->
           ignore (Wal.force_upto t.wal (int_of_float (frac *. float_of_int (Wal.unforced t.wal)))));
       ignore (Wal.force t.wal);
       disk_write_retrying t page_id (Buf_pool.frame_bytes t.pool frame);
@@ -529,12 +532,8 @@ let note_ship_us t txn us =
 let write_page t ~txn ~at_commit page_id src =
   serve @@ fun () ->
   check_active t txn "write_page";
-  (match t.fail_after_writes with
-   | Some 0 -> raise Injected_crash
-   | Some n -> t.fail_after_writes <- Some (n - 1)
-   | None -> ());
   Qs_fault.hit t.fault
-    (if at_commit then Qs_fault.Point.commit_ship_page else Qs_fault.Point.evict_steal_write);
+    (if at_commit then Qs_fault.Point.Commit_ship_page else Qs_fault.Point.Evict_steal_write);
   t.counters.client_writes <- t.counters.client_writes + 1;
   let cm = t.cm in
   if at_commit then begin
@@ -581,7 +580,7 @@ let write_page t ~txn ~at_commit page_id src =
 let apply_regions t ~txn ~seq ?check page_id regions =
   serve @@ fun () ->
   check_active t txn "apply_regions";
-  Qs_fault.hit t.fault Qs_fault.Point.commit_ship_region;
+  Qs_fault.hit t.fault Qs_fault.Point.Commit_ship_region;
   let cm = t.cm in
   let nregions = List.length regions in
   let nbytes =
@@ -617,7 +616,7 @@ let apply_regions t ~txn ~seq ?check page_id regions =
        prefix of the regions lands in the (volatile) server pool, and
        the sequence number is never recorded, so a restarted commit
        re-applies from scratch. *)
-    Qs_fault.hit t.fault Qs_fault.Point.commit_region_torn ~on_fire:(fun ~frac ->
+    Qs_fault.hit t.fault Qs_fault.Point.Commit_region_torn ~on_fire:(fun ~frac ->
         let keep = int_of_float (frac *. float_of_int nregions) in
         List.iteri
           (fun i (off, data) ->
@@ -766,7 +765,7 @@ let trim_versions t =
       match snapshot_watermark t with Some w -> w | None -> Wal.last_lsn t.wal
     in
     Version_store.trim vs ~watermark ~on_trim:(fun () ->
-        Qs_fault.hit t.fault Qs_fault.Point.snapshot_trim)
+        Qs_fault.hit t.fault Qs_fault.Point.Snapshot_trim)
 
 let begin_snapshot t =
   serve @@ fun () ->
@@ -857,7 +856,7 @@ let read_page_at t ~snap ?(verify = false) page_id dst =
     | Some lsn -> lsn
     | None -> invalid_arg "Server.read_page_at: unknown snapshot"
   in
-  Qs_fault.hit t.fault Qs_fault.Point.snapshot_materialize;
+  Qs_fault.hit t.fault Qs_fault.Point.Snapshot_materialize;
   let cm = t.cm in
   let cat = Simclock.Category.Snapshot_read in
   (* In-flight writer's captured baseline, else the authoritative
@@ -919,7 +918,7 @@ let set_index_undo t f = t.index_undo <- f
 let force_log ?(overlap_us = 0.0) ?committer t =
   (* wal.force_partial: the force is cut mid-stream — a seeded fraction
      of the unforced tail becomes durable, then the process dies. *)
-  Qs_fault.hit t.fault Qs_fault.Point.wal_force_partial ~on_fire:(fun ~frac ->
+  Qs_fault.hit t.fault Qs_fault.Point.Wal_force_partial ~on_fire:(fun ~frac ->
       ignore (Wal.force_upto t.wal (int_of_float (frac *. float_of_int (Wal.unforced t.wal)))));
   let full_pages_before = Wal.forced_bytes t.wal / Page.page_size in
   let pages = Wal.force t.wal in
@@ -1013,17 +1012,17 @@ let finish_txn t txn =
 let commit t ~txn =
   serve @@ fun () ->
   check_active t txn "commit";
-  Qs_fault.hit t.fault Qs_fault.Point.commit_pre_log;
+  Qs_fault.hit t.fault Qs_fault.Point.Commit_pre_log;
   let commit_lsn = Wal.append t.wal (Wal.Commit txn) in
-  Qs_fault.hit t.fault Qs_fault.Point.commit_pre_flush;
+  Qs_fault.hit t.fault Qs_fault.Point.Commit_pre_flush;
   let overlap_us =
     if t.pipeline_commit then
       match Hashtbl.find_opt t.txn_ship_us txn with Some r -> !r | None -> 0.0
     else 0.0
   in
   force_log ~overlap_us ?committer:(Hashtbl.find_opt t.txn_owner txn) t;
-  flush_txn_pages ~point:Qs_fault.Point.commit_mid_flush t txn;
-  Qs_fault.hit t.fault Qs_fault.Point.commit_post_flush;
+  flush_txn_pages ~point:Qs_fault.Point.Commit_mid_flush t txn;
+  Qs_fault.hit t.fault Qs_fault.Point.Commit_post_flush;
   push_versions t txn ~commit_lsn;
   finish_txn t txn
 
@@ -1035,7 +1034,7 @@ let abort t ~txn =
      update so that restart redo replays the undo as well. *)
   List.iter
     (fun rec_ ->
-      Qs_fault.hit t.fault Qs_fault.Point.abort_mid_undo;
+      Qs_fault.hit t.fault Qs_fault.Point.Abort_mid_undo;
       match rec_ with
       | Wal.Update { page; off; old_data; new_data; _ } ->
         let clr_lsn =
@@ -1071,7 +1070,7 @@ let checkpoint t =
   if Hashtbl.length t.active > 0 then invalid_arg "Server.checkpoint: transactions active";
   Buf_pool.iter_frames
     (fun ~frame ~page_id:_ ->
-      Qs_fault.hit t.fault Qs_fault.Point.checkpoint_mid_flush;
+      Qs_fault.hit t.fault Qs_fault.Point.Checkpoint_mid_flush;
       flush_frame ~charged:false t frame)
     t.pool;
   Wal.truncate t.wal
@@ -1082,8 +1081,6 @@ let reset_cache t =
     t.pool;
   Buf_pool.clear t.pool
 
-let inject_crash_after_writes t n = t.fail_after_writes <- Some n
-
 let crash t =
   t.pool <- Buf_pool.create ~frames:t.frames;
   t.wal <- Wal.survive_crash t.wal;
@@ -1093,7 +1090,6 @@ let crash t =
   t.txn_dirty <- Hashtbl.create 8;
   t.txn_ships <- Hashtbl.create 8;
   t.txn_ship_us <- Hashtbl.create 8;
-  t.fail_after_writes <- None;
   t.last_force <- None;
   t.last_force_by <- None;
   (* The copy table and recall endpoints are volatile: a restarted

@@ -71,10 +71,17 @@ val set_txn_age : t -> txn:int -> age:int -> unit
     pages first via {!write_page}. *)
 val commit : t -> txn:int -> unit
 
-(** [abort t ~txn] undoes the transaction's logged updates against the
-    server/disk state (before-images, reverse order), logs the abort
-    and releases locks. *)
+(** [abort t ~txn] undoes the transaction's logged records newest
+    first, logging each undo as a compensation record, then logs the
+    abort, forces the log, flushes the undone pages and releases
+    locks. It is the one undo path: runtime aborts and restart's
+    losers ({!adopt_loser}) both take it. *)
 val abort : t -> txn:int -> unit
+
+(** [adopt_loser t ~txn records] registers a restart loser as active,
+    with its update and index records newest first, for {!abort}.
+    Later {!begin_txn} ids stay above [txn]. *)
+val adopt_loser : t -> txn:int -> Wal.record list -> unit
 
 (** {2 Page service} *)
 
@@ -285,14 +292,6 @@ exception Server_down
 (** Raised on requests naming a transaction that is not active: always
     a caller bug, never an injected fault. *)
 exception Bad_txn of { op : string; txn : int }
-
-(** Fault injection: raised by {!write_page} once the injected
-    countdown reaches zero, cutting a commit flush mid-stream. *)
-exception Injected_crash
-
-(** Arm the fault: the [n+1]-th subsequent page write raises
-    {!Injected_crash}. Disarmed by {!crash}. *)
-val inject_crash_after_writes : t -> int -> unit
 
 val wal : t -> Wal.t
 

@@ -1,43 +1,50 @@
 module Rng = Qs_util.Rng
 
 module Point = struct
-  let commit_pre_log = "commit.pre_log"
-  let commit_pre_flush = "commit.pre_flush"
-  let commit_mid_flush = "commit.mid_flush"
-  let commit_post_flush = "commit.post_flush"
-  let commit_ship_page = "commit.ship_page"
-  let commit_ship_region = "commit.ship_region"
-  let commit_region_torn = "commit.region_torn"
-  let wal_force_partial = "wal.force_partial"
-  let abort_mid_undo = "abort.mid_undo"
-  let evict_steal_write = "evict.steal_write"
-  let checkpoint_mid_flush = "checkpoint.mid_flush"
-  let disk_torn_write = "disk.torn_write"
-  let snapshot_trim = "snapshot.trim"
-  let snapshot_materialize = "snapshot.materialize"
-  let index_log_append = "index.log_append"
-  let index_merge_write = "index.merge_write"
-  let index_merge_swing = "index.merge_swing"
+  type t =
+    | Commit_pre_log | Commit_pre_flush | Commit_mid_flush | Commit_post_flush | Commit_ship_page
+    | Commit_ship_region | Commit_region_torn | Wal_force_partial | Abort_mid_undo
+    | Evict_steal_write | Checkpoint_mid_flush | Disk_torn_write | Snapshot_trim
+    | Snapshot_materialize | Index_log_append | Index_merge_write | Index_merge_swing
 
   let all =
-    [ commit_pre_log; commit_pre_flush; commit_mid_flush; commit_post_flush; commit_ship_page
-    ; commit_ship_region; commit_region_torn
-    ; wal_force_partial; abort_mid_undo; evict_steal_write; checkpoint_mid_flush; disk_torn_write
-    ; snapshot_trim; snapshot_materialize; index_log_append; index_merge_write; index_merge_swing ]
+    [ Commit_pre_log; Commit_pre_flush; Commit_mid_flush; Commit_post_flush; Commit_ship_page
+    ; Commit_ship_region; Commit_region_torn
+    ; Wal_force_partial; Abort_mid_undo; Evict_steal_write; Checkpoint_mid_flush; Disk_torn_write
+    ; Snapshot_trim; Snapshot_materialize; Index_log_append; Index_merge_write; Index_merge_swing ]
 
-  let mem p = List.mem p all
+  let name = function
+    | Commit_pre_log -> "commit.pre_log"
+    | Commit_pre_flush -> "commit.pre_flush"
+    | Commit_mid_flush -> "commit.mid_flush"
+    | Commit_post_flush -> "commit.post_flush"
+    | Commit_ship_page -> "commit.ship_page"
+    | Commit_ship_region -> "commit.ship_region"
+    | Commit_region_torn -> "commit.region_torn"
+    | Wal_force_partial -> "wal.force_partial"
+    | Abort_mid_undo -> "abort.mid_undo"
+    | Evict_steal_write -> "evict.steal_write"
+    | Checkpoint_mid_flush -> "checkpoint.mid_flush"
+    | Disk_torn_write -> "disk.torn_write"
+    | Snapshot_trim -> "snapshot.trim"
+    | Snapshot_materialize -> "snapshot.materialize"
+    | Index_log_append -> "index.log_append"
+    | Index_merge_write -> "index.merge_write"
+    | Index_merge_swing -> "index.merge_swing"
+
+  let of_name s = List.find_opt (fun p -> name p = s) all
 end
 
 type disk_op = Read | Write
 type disk_decision = Io_ok | Io_fail | Io_torn of int
 type net_decision = Net_ok | Net_drop | Net_dup | Net_delay of float
 
-exception Injected_crash of { point : string; hit : int }
+exception Injected_crash of { point : Point.t; hit : int }
 exception Io_error of { op : disk_op; page : int }
 exception Net_error of { op : string; page : int }
 
 type plan = {
-  crash_point : (string * int) option;
+  crash_point : (Point.t * int) option;
   disk_read_p : float;
   disk_write_p : float;
   net_drop_p : float;
@@ -59,7 +66,8 @@ let no_faults =
 
 let spec_syntax =
   "comma-separated key=value: disk|disk_read|disk_write|drop|dup|delay=<prob>, \
-   delay_us=<microseconds>, crash=<point>:<hit> (points: " ^ String.concat " " Point.all ^ ")"
+   delay_us=<microseconds>, crash=<point>:<hit> (points: "
+  ^ String.concat " " (List.map Point.name Point.all) ^ ")"
 
 let plan_of_spec ~seed spec =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
@@ -95,10 +103,13 @@ let plan_of_spec ~seed spec =
                 (match String.index_opt v ':' with
                  | None -> bad "fault spec: crash=%s needs <point>:<hit>" v
                  | Some j ->
-                   let point = String.sub v 0 j in
+                   let name = String.sub v 0 j in
                    let hit = String.sub v (j + 1) (String.length v - j - 1) in
-                   if not (Point.mem point) then
-                     bad "fault spec: unknown crash point %S (see --help)" point;
+                   let point =
+                     match Point.of_name name with
+                     | Some p -> p
+                     | None -> bad "fault spec: unknown crash point %S (see --help)" name
+                   in
                    (match int_of_string_opt hit with
                     | Some h when h >= 1 -> plan := { !plan with crash_point = Some (point, h) }
                     | _ -> bad "fault spec: crash hit %S is not a positive integer" hit))
@@ -108,8 +119,8 @@ let plan_of_spec ~seed spec =
 type t = {
   mutable plan : plan option;  (* None = disarmed: every hook is a no-op *)
   mutable rng : Rng.t;
-  counts : (string, int) Hashtbl.t;
-  mutable fired_at : (string * int) option;
+  counts : (Point.t, int) Hashtbl.t;
+  mutable fired_at : (Point.t * int) option;
   mutable transients : int;
   mutable halt : bool;
 }
@@ -151,8 +162,6 @@ let fire ?on_fire t point n =
   raise (Injected_crash { point; hit = n })
 
 let hit ?on_fire t point =
-  if not (Point.mem point) then
-    invalid_arg (Printf.sprintf "Qs_fault.hit: unregistered crash point %S" point);
   match t.plan with
   | None -> ()
   | Some plan ->
@@ -177,10 +186,10 @@ let disk_gate t ~op ~page =
        else Io_ok
      | Write ->
        (* Torn writes are a scheduled crash, counted over disk writes. *)
-       let n = bump t Point.disk_torn_write in
+       let n = bump t Point.Disk_torn_write in
        (match plan.crash_point with
-        | Some (p, h) when p = Point.disk_torn_write && h = n ->
-          t.fired_at <- Some (Point.disk_torn_write, n);
+        | Some (p, h) when p = Point.Disk_torn_write && h = n ->
+          t.fired_at <- Some (Point.Disk_torn_write, n);
           t.halt <- true;
           Io_torn (Rng.int t.rng 8161 (* 0 .. page body bytes *))
         | _ ->

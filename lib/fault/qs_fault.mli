@@ -19,46 +19,37 @@
     generator, so a failing schedule is reproduced exactly by its
     seed. *)
 
-(** The crash-point registry. Every name is a specific instrumented
-    site in [lib/esm]; the torture harness enumerates [all] to prove
-    each point has been exercised. *)
+(** The crash-point registry. Every constructor is a specific
+    instrumented site in [lib/esm]; the torture harness enumerates
+    [all] to prove each point has been exercised. *)
 module Point : sig
-  val commit_pre_log : string  (** before the Commit record is appended *)
+  type t =
+    | Commit_pre_log  (** before the Commit record is appended *)
+    | Commit_pre_flush  (** Commit appended but not yet forced *)
+    | Commit_mid_flush  (** between two page writes of the commit flush *)
+    | Commit_post_flush  (** commit durable, locks not yet released *)
+    | Commit_ship_page  (** client→server page ship of the commit flush *)
+    | Commit_ship_region  (** client→server region ship of a diff-shipping commit *)
+    | Commit_region_torn  (** region apply cut partway: a prefix of the regions lands *)
+    | Wal_force_partial  (** log force cut mid-stream: a prefix survives *)
+    | Abort_mid_undo  (** between two undo records of an abort *)
+    | Evict_steal_write  (** mid-transaction dirty-page steal to the server *)
+    | Checkpoint_mid_flush  (** between two page flushes of a checkpoint *)
+    | Disk_torn_write  (** a disk page write persists only a body prefix *)
+    | Snapshot_trim  (** between two chain trims of a version-watermark sweep *)
+    | Snapshot_materialize  (** before an as-of-LSN page version is assembled *)
+    | Index_log_append  (** before a binding is appended to a log-index tail page *)
+    | Index_merge_write  (** between two data-run page writes of a log-index merge *)
+    | Index_merge_swing  (** merged run written, root entry not yet swung *)
 
-  val commit_pre_flush : string  (** Commit appended but not yet forced *)
+  (** Every point, once, in registry order. *)
+  val all : t list
 
-  val commit_mid_flush : string  (** between two page writes of the commit flush *)
+  (** The point's name on the command line and in reports, e.g.
+      ["commit.pre_log"]. *)
+  val name : t -> string
 
-  val commit_post_flush : string  (** commit durable, locks not yet released *)
-
-  val commit_ship_page : string  (** client→server page ship of the commit flush *)
-
-  val commit_ship_region : string  (** client→server region ship of a diff-shipping commit *)
-
-  val commit_region_torn : string  (** region apply cut partway: a prefix of the regions lands *)
-
-  val wal_force_partial : string  (** log force cut mid-stream: a prefix survives *)
-
-  val abort_mid_undo : string  (** between two undo records of a runtime abort *)
-
-  val evict_steal_write : string  (** mid-transaction dirty-page steal to the server *)
-
-  val checkpoint_mid_flush : string  (** between two page flushes of a checkpoint *)
-
-  val disk_torn_write : string  (** a disk page write persists only a body prefix *)
-
-  val snapshot_trim : string  (** between two chain trims of a version-watermark sweep *)
-
-  val snapshot_materialize : string  (** before an as-of-LSN page version is assembled *)
-
-  val index_log_append : string  (** before a binding is appended to a log-index tail page *)
-
-  val index_merge_write : string  (** between two data-run page writes of a log-index merge *)
-
-  val index_merge_swing : string  (** merged run written, root entry not yet swung *)
-
-  val all : string list
-  val mem : string -> bool
+  val of_name : string -> t option
 end
 
 type disk_op = Read | Write
@@ -79,7 +70,7 @@ type net_decision = Net_ok | Net_drop | Net_dup | Net_delay of float
 (** A scheduled crash fired: the process hosting the instrumented code
     dies at this point. The exception unwinds to the harness, which
     calls [Server.crash] / [Client.crash] and restarts. *)
-exception Injected_crash of { point : string; hit : int }
+exception Injected_crash of { point : Point.t; hit : int }
 
 (** A transient disk error (retryable at the requesting client). *)
 exception Io_error of { op : disk_op; page : int }
@@ -88,7 +79,7 @@ exception Io_error of { op : disk_op; page : int }
 exception Net_error of { op : string; page : int }
 
 type plan = {
-  crash_point : (string * int) option;
+  crash_point : (Point.t * int) option;
       (** fire [Injected_crash] on the [n]-th execution of this point *)
   disk_read_p : float;  (** per-read probability of a transient error *)
   disk_write_p : float;  (** per-write probability of a transient error *)
@@ -125,7 +116,7 @@ val armed : t -> bool
 
 (** [crash_at t ~point ~hit] arms a pure crash schedule (no transient
     faults): the [hit]-th execution of [point] raises. *)
-val crash_at : t -> point:string -> hit:int -> unit
+val crash_at : t -> point:Point.t -> hit:int -> unit
 
 (** {2 Instrumentation hooks (called from lib/esm)} *)
 
@@ -134,13 +125,12 @@ val crash_at : t -> point:string -> hit:int -> unit
     (if any) runs first — with a seeded fraction in [0,1) for sites
     that need to cut work partway, like a partial log force — and then
     {!Injected_crash} is raised and the injector is {e halted} until
-    the crash is taken. Raises [Invalid_argument] on unregistered
-    names. *)
-val hit : ?on_fire:(frac:float -> unit) -> t -> string -> unit
+    the crash is taken. *)
+val hit : ?on_fire:(frac:float -> unit) -> t -> Point.t -> unit
 
 (** Decision for one raw disk access (consulted by [Disk.read]/
     [Disk.write]). Torn writes are scheduled as crash point
-    {!Point.disk_torn_write} counted over disk writes. *)
+    {!Point.Disk_torn_write} counted over disk writes. *)
 val disk_gate : t -> op:disk_op -> page:int -> disk_decision
 
 (** Decision for one client↔server message. *)
@@ -159,10 +149,10 @@ val clear_halt : t -> unit
 
 (** {2 Introspection} *)
 
-val hit_count : t -> string -> int
+val hit_count : t -> Point.t -> int
 
 (** The crash point that fired, with the hit index it fired on. *)
-val fired : t -> (string * int) option
+val fired : t -> (Point.t * int) option
 
 (** Transient (non-crash) faults injected since the last {!arm}. *)
 val transients_injected : t -> int

@@ -5,9 +5,9 @@
    faults, and a scheduled crash at one registered Qs_fault point
    (chosen by [seed mod |points|], so any contiguous seed range covers
    the whole registry). When the crash fires, the harness takes it —
-   [Client.crash], [Server.crash], [Recovery.restart ~sanitize:true] —
-   and then checks the full read-back against a model kept in ordinary
-   OCaml values:
+   [Client.crash], [Server.crash], [Recovery.restart ~sanitize:true]
+   armed to crash at a drawn point and rerun if it does — and checks
+   the full read-back against a model kept in ordinary OCaml values:
 
    - objects untouched by the in-flight transaction must be bitwise
      intact;
@@ -16,10 +16,10 @@
      determines it (e.g. [commit.pre_flush] is a loser,
      [commit.post_flush] a winner).
 
-   Each crash point has one row in [table] naming its regime
-   (scheduled or log-index, both on one server), the bound its firing
-   hit is drawn from and the direction its in-flight transaction must
-   take; every regime runs through one skeleton, [run_schedule].
+   [table], a total match, gives each crash point its regime (scheduled
+   or log-index, both on one server), the bound its firing hit is
+   drawn from and the direction its in-flight transaction must take;
+   every regime runs through one skeleton, [run_schedule].
    Scheduled schedules run 2-4 clients under the deterministic
    scheduler (rotating with the seed; [--clients N] pins N, 1 included),
    so the crash also lands amid blocking lock waits, wound-wait
@@ -46,9 +46,10 @@ let repro ~seed ~clients =
 
 type outcome = {
   seed : int;
-  point : string;  (* the armed crash point *)
+  point : F.Point.t;  (* the armed crash point *)
   clients : int;  (* concurrent clients in the schedule (1 for log-index) *)
   fired : bool;
+  restart_crash : (F.Point.t * bool) option;  (* point armed in the first restart; fired? *)
   txns : int;  (* transactions attempted before the crash *)
   transients : int;  (* transient faults injected (and retried) *)
   failure : string option;  (* None = schedule survived all checks *)
@@ -115,8 +116,7 @@ let check_in_flight ~seed ~what ~model ~expect in_flight reads =
    retry exhaustions that stand for it, and, once the crash is in, a
    deadlock retry exhaustion in the post-crash drain window. *)
 let ends_loop ~crashed = function
-  | F.Injected_crash _ | F.Io_error _ | F.Net_error _ | Client.Degraded _ | Server.Server_down
-  | Server.Injected_crash ->
+  | F.Injected_crash _ | F.Io_error _ | F.Net_error _ | Client.Degraded _ | Server.Server_down ->
     true
   | Lock_mgr.Deadlock _ -> crashed
   | _ -> false
@@ -129,15 +129,14 @@ type direction = [ `Old | `New | `Either ]
 
 (* One row of the crash-point table. *)
 type row = {
-  point : string;
   regime : regime;
   bound : int;  (* the crash fires at hit 1 + [Rng.int bound] *)
   direction : direction;  (* of the transaction in flight when the crash fires *)
 }
 
-(* A regime builds the world a schedule runs in; [rng] has drawn the
-   crash hit and nothing else. *)
-and regime = row -> seed:int -> clients:int -> rng:Rng.t -> world
+(* A regime builds the world a schedule runs in for the armed point;
+   [rng] has drawn the crash hit and nothing else. *)
+and regime = F.Point.t -> seed:int -> clients:int -> rng:Rng.t -> world
 
 and world = {
   server : Server.t;  (* its injector takes the crash and the transients *)
@@ -146,75 +145,12 @@ and world = {
       (* runs each client's transactions 1..limit through the given
          loop, which returns the exception that ended it early *)
   crash_clients : unit -> unit;
-  judge : fired:(string * int) option -> unit;
-      (* checks the store after the crash and restart *)
+  judge : expect:(entered_abort:bool -> direction) -> unit;
+      (* checks the store after the crash and restart; [expect] places
+         the transaction of the client that took the crash *)
   epilogue : unit -> unit;  (* fault-free work after the crash: the store must still work *)
   check : what:string -> unit;  (* full read-back against the model *)
 }
-
-(* Expected direction of a client's in-flight transaction: unknown
-   when no crash point fired (retry or server-retry exhaustion: phase
-   unknown), a loser once it entered abort, else the row's. *)
-let expectation row ~entered_abort = function
-  | None -> `Either
-  | Some _ -> if entered_abort then `Old else row.direction
-
-let run_schedule row ~seed ~clients =
-  let rng = Rng.create ((seed * 2) + 1) in
-  let hit = 1 + Rng.int rng row.bound in
-  let w = row.regime row ~seed ~clients ~rng in
-  let fault = Server.fault_injector w.server in
-  F.arm fault { (transient_plan ~seed) with F.crash_point = Some (row.point, hit) };
-  let crashed = ref false and txns = ref 0 in
-  let loop ~limit txn =
-    let rec go i =
-      if !crashed || i > limit then None
-      else begin
-        incr txns;
-        match txn i with
-        | () -> go (i + 1)
-        | exception e when ends_loop ~crashed:!crashed e ->
-          crashed := true;
-          Some e
-      end
-    in
-    go 1
-  in
-  let restart () =
-    w.crash_clients ();
-    F.disarm fault;
-    Server.crash w.server;
-    Recovery.restart ~sanitize:true w.server
-  in
-  let failure =
-    match
-      w.drive loop;
-      if !crashed then begin
-        let fired = F.fired fault in
-        ignore (restart ());
-        w.judge ~fired
-      end;
-      F.disarm fault;
-      w.epilogue ();
-      w.check ~what:"epilogue";
-      (* Restart idempotency: a second clean crash/restart finds no
-         loser to undo and changes nothing. *)
-      let again = restart () in
-      if again.Recovery.losers_undone > 0 then
-        failf "seed %d: second restart undid %d losers" seed again.Recovery.losers_undone;
-      w.check ~what:"second restart"
-    with
-    | () -> None
-    | exception Check_failed msg -> Some msg
-    | exception e -> Some (Printf.sprintf "seed %d: unexpected %s" seed (Printexc.to_string e))
-  in
-  { seed
-  ; point = row.point
-  ; clients = w.clients
-  ; fired = F.fired fault <> None
-  ; txns = !txns
-  ; transients = F.transients_injected fault
-  ; failure }
 
 (* ------------------------------------------------------------------ *)
 (* Scheduled regime.                                                   *)
@@ -287,8 +223,7 @@ let check_cross_read ~seed ~client ~idx v =
       ()
     | Some _ | None | (exception Scanf.Scan_failure _) -> fail ())
 
-let scheduled row ~seed ~clients ~rng:_ =
-  let point = row.point in
+let scheduled point ~seed ~clients ~rng:_ =
   (* Cache-consistency regime rotates with the seed: odd seeds keep the
      historical reset-per-transaction discipline, even seeds run the
      callback-locking protocol (inter-transaction caching, recalls,
@@ -302,7 +237,7 @@ let scheduled row ~seed ~clients ~rng:_ =
      periodic reclamation passes — so the crash also lands
      mid-materialization and mid-trim, on both cache regimes. *)
   let snapshots =
-    seed mod 3 = 0 || point = F.Point.snapshot_trim || point = F.Point.snapshot_materialize
+    seed mod 3 = 0 || point = F.Point.Snapshot_trim || point = F.Point.Snapshot_materialize
   in
   let cm = Simclock.Cost_model.default in
   let fault = F.create () in
@@ -406,7 +341,7 @@ let scheduled row ~seed ~clients ~rng:_ =
             Client.abort cl
           end
           else begin
-            if point = F.Point.commit_ship_region || point = F.Point.commit_region_torn then
+            if point = F.Point.Commit_ship_region || point = F.Point.Commit_region_torn then
               region_ship_dirty cl;
             Client.commit cl;
             List.iter (fun (idx, newv) -> model.(idx) <- newv) fl
@@ -466,12 +401,12 @@ let scheduled row ~seed ~clients ~rng:_ =
         | Some e -> failf "seed %d: task %s: unexpected %s" seed name (Printexc.to_string e))
       (Sched.run sched)
   in
-  let judge ~fired =
+  let judge ~expect =
     let primary = ref None in
     Array.iteri
       (fun c e ->
         match e with
-        | Some (F.Injected_crash _ | Server.Injected_crash) when !primary = None -> primary := Some c
+        | Some (F.Injected_crash _) when !primary = None -> primary := Some c
         | _ -> ())
       died;
     let reads = read_all cls.(0) oids in
@@ -479,7 +414,7 @@ let scheduled row ~seed ~clients ~rng:_ =
     check_intact ~seed ~what:"post-restart" ~model ~skip reads;
     for c = 0 to clients - 1 do
       let expect =
-        if !primary = Some c then expectation row ~entered_abort:entered_abort.(c) fired
+        if !primary = Some c then expect ~entered_abort:entered_abort.(c)
         else
           match died.(c) with
           | Some Server.Server_down | Some (Lock_mgr.Deadlock _) | None -> `Old
@@ -529,7 +464,7 @@ let scheduled row ~seed ~clients ~rng:_ =
    half-appended log tail, a half-written merge run or an unswung root
    must leave no trace. *)
 
-let log_index _row ~seed ~clients:_ ~rng =
+let log_index _point ~seed ~clients:_ ~rng =
   let module Log_index = Esm.Log_index in
   let cm = Simclock.Cost_model.default in
   let fault = F.create () in
@@ -584,7 +519,7 @@ let log_index _row ~seed ~clients:_ ~rng =
       failf "seed %d: %s: cardinal disagrees with range scan" seed what;
     Client.commit !client
   in
-  let judge ~fired:_ = check ~what:"post-restart" in
+  let judge ~expect:_ = check ~what:"post-restart" in
   (* The index must still take writes and merge cleanly. *)
   let epilogue () =
     Client.begin_txn !client;
@@ -618,37 +553,114 @@ let log_index _row ~seed ~clients:_ ~rng =
    index.log_append, once per merged-run page for index.merge_write and
    once per merge for index.merge_swing. wal.force_partial and
    disk.torn_write land either way, depending on the cut. *)
-let table =
-  let row regime point bound direction = { point; regime; bound; direction } in
-  F.Point.
-    [ row scheduled commit_pre_log 12 `Old
-    ; row scheduled commit_pre_flush 12 `Old
-    ; row scheduled commit_mid_flush 20 `New
-    ; row scheduled commit_post_flush 12 `New
-    ; row scheduled commit_ship_page 20 `Old
-    ; row scheduled commit_ship_region 20 `Old
-    ; row scheduled commit_region_torn 20 `Old
-    ; row scheduled wal_force_partial 12 `Either
-    ; row scheduled abort_mid_undo 6 `Old
-    ; row scheduled evict_steal_write 15 `Old
-    ; row scheduled checkpoint_mid_flush 6 `Either
-    ; row scheduled disk_torn_write 25 `Either
-    ; row scheduled snapshot_trim 4 `Either
-    ; row scheduled snapshot_materialize 15 `Either
-    ; row log_index index_log_append 60 `Old
-    ; row log_index index_merge_write 12 `Old
-    ; row log_index index_merge_swing 6 `Old ]
-
-let row_of_point point =
-  match List.find_opt (fun r -> r.point = point) table with
-  | Some r -> r
-  | None -> invalid_arg ("Torture: no table row for crash point " ^ point)
+let table : F.Point.t -> row =
+  let row regime bound direction = { regime; bound; direction } in
+  function
+  | Commit_pre_log -> row scheduled 12 `Old
+  | Commit_pre_flush -> row scheduled 12 `Old
+  | Commit_mid_flush -> row scheduled 20 `New
+  | Commit_post_flush -> row scheduled 12 `New
+  | Commit_ship_page -> row scheduled 20 `Old
+  | Commit_ship_region -> row scheduled 20 `Old
+  | Commit_region_torn -> row scheduled 20 `Old
+  | Wal_force_partial -> row scheduled 12 `Either
+  | Abort_mid_undo -> row scheduled 6 `Old
+  | Evict_steal_write -> row scheduled 15 `Old
+  | Checkpoint_mid_flush -> row scheduled 6 `Either
+  | Disk_torn_write -> row scheduled 25 `Either
+  | Snapshot_trim -> row scheduled 4 `Either
+  | Snapshot_materialize -> row scheduled 15 `Either
+  | Index_log_append -> row log_index 60 `Old
+  | Index_merge_write -> row log_index 12 `Old
+  | Index_merge_swing -> row log_index 6 `Old
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 
-let points = F.Point.all
-let point_of_seed seed = List.nth points (seed mod List.length points)
+(* The crash points restart passes here: each loser's [Server.abort]
+   and the restart client's commit. No regime keeps a B-tree, so that
+   commit flushes no page: [commit.mid_flush] is left to test_recovery. *)
+let restart_points = F.Point.[ Abort_mid_undo; Wal_force_partial; Commit_pre_log; Commit_pre_flush ]
+
+let run_schedule point ~seed ~clients =
+  let row = table point in
+  let rng = Rng.create ((seed * 2) + 1) in
+  let hit = 1 + Rng.int rng row.bound in
+  let w = row.regime point ~seed ~clients ~rng in
+  let fault = Server.fault_injector w.server in
+  F.arm fault { (transient_plan ~seed) with F.crash_point = Some (point, hit) };
+  let crashed = ref false and txns = ref 0 in
+  let loop ~limit txn =
+    let rec go i =
+      if !crashed || i > limit then None
+      else begin
+        incr txns;
+        match txn i with
+        | () -> go (i + 1)
+        | exception e when ends_loop ~crashed:!crashed e ->
+          crashed := true;
+          Some e
+      end
+    in
+    go 1
+  in
+  let restart ?cut () =
+    w.crash_clients ();
+    (match cut with Some plan -> F.arm fault plan | None -> F.disarm fault);
+    Server.crash w.server;
+    Recovery.restart ~sanitize:true w.server
+  in
+  let recorded = ref None (* the schedule's fault record, before a restart cut re-arms *)
+  and restart_crash = ref None in
+  let failure =
+    match
+      w.drive loop;
+      let fired = F.fired fault in
+      recorded := Some (fired, F.transients_injected fault);
+      if !crashed then begin
+        (* The first restart is itself cut at a drawn point; if that
+           fires, a clean restart must finish its work. *)
+        let rpoint = List.nth restart_points (Rng.int rng (List.length restart_points)) in
+        let cut =
+          { F.no_faults with F.crash_point = Some (rpoint, 1 + Rng.int rng 4); rng_seed = seed }
+        in
+        (match restart ~cut () with
+         | _ -> F.disarm fault
+         | exception F.Injected_crash _ -> ignore (restart ()));
+        restart_crash := Some (rpoint, F.fired fault <> None);
+        (* The crashed client's transaction: unknown when no crash point
+           fired (retry exhaustion: phase unknown), a loser once it
+           entered abort, else the row's direction. *)
+        w.judge ~expect:(fun ~entered_abort ->
+            match fired with None -> `Either | Some _ -> if entered_abort then `Old else row.direction)
+      end;
+      F.disarm fault;
+      w.epilogue ();
+      w.check ~what:"epilogue";
+      (* Restart idempotency: a second clean crash/restart finds no
+         loser to undo and changes nothing. *)
+      let again = restart () in
+      if again.Recovery.losers_undone > 0 then
+        failf "seed %d: second restart undid %d losers" seed again.Recovery.losers_undone;
+      w.check ~what:"second restart"
+    with
+    | () -> None
+    | exception Check_failed msg -> Some msg
+    | exception e -> Some (Printf.sprintf "seed %d: unexpected %s" seed (Printexc.to_string e))
+  in
+  let fired, transients =
+    Option.value !recorded ~default:(F.fired fault, F.transients_injected fault)
+  in
+  { seed
+  ; point
+  ; clients = w.clients
+  ; fired = fired <> None
+  ; restart_crash = !restart_crash
+  ; txns = !txns
+  ; transients
+  ; failure }
+
+let point_of_seed seed = List.nth F.Point.all (seed mod List.length F.Point.all)
 
 (* Concurrency of a scheduled schedule: 2..4 clients, rotating
    with the seed so a contiguous sweep covers every width at every
@@ -658,45 +670,51 @@ let clients_of_seed seed = 2 + (seed mod 3)
 
 let run_seed ?clients ~seed () =
   let clients = match clients with Some n -> n | None -> clients_of_seed seed in
-  run_schedule (row_of_point (point_of_seed seed)) ~seed ~clients
+  run_schedule (point_of_seed seed) ~seed ~clients
 
 type summary = {
   total : int;
   failed : outcome list;
-  coverage : (string * int * int) list;  (* point, schedules, fired *)
+  coverage : (F.Point.t * int * int) list;  (* point, schedules, fired *)
+  restart_coverage : (F.Point.t * int * int) list;  (* point, restarts armed there, fired *)
   transients_total : int;
 }
 
+let log_line o =
+  let name = F.Point.name o.point in
+  match o.failure with
+  | Some msg ->
+    Printf.sprintf "FAIL seed %d [%s] %s; repro: %s" o.seed name msg
+      (repro ~seed:o.seed ~clients:o.clients)
+  | None ->
+    Printf.sprintf "ok   seed %d [%s, %d client%s] %s after %d txns, %d transient faults%s" o.seed
+      name o.clients
+      (if o.clients = 1 then "" else "s")
+      (if o.fired then "fired" else "no fire")
+      o.txns o.transients
+      (match o.restart_crash with
+       | Some (p, true) -> "; restart crashed at " ^ F.Point.name p
+       | Some (p, false) -> "; restart passed " ^ F.Point.name p
+       | None -> "")
+
 let run_range ?(log = fun _ -> ()) ?clients ~first ~count () =
-  let sched = Hashtbl.create 16 and fire = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace sched p 0;
-      Hashtbl.replace fire p 0)
-    points;
-  let bump h p = Hashtbl.replace h p (Hashtbl.find h p + 1) in
-  let failed = ref [] in
-  let transients = ref 0 in
-  for seed = first to first + count - 1 do
-    let o = run_seed ?clients ~seed () in
-    bump sched o.point;
-    if o.fired then bump fire o.point;
-    transients := !transients + o.transients;
-    (match o.failure with
-     | Some msg ->
-       failed := o :: !failed;
-       log
-         (Printf.sprintf "FAIL seed %d [%s] %s; repro: %s" o.seed o.point msg
-            (repro ~seed:o.seed ~clients:o.clients))
-     | None ->
-       log
-         (Printf.sprintf "ok   seed %d [%s, %d client%s] %s after %d txns, %d transient faults"
-            o.seed o.point o.clients
-            (if o.clients = 1 then "" else "s")
-            (if o.fired then "fired" else "no fire")
-            o.txns o.transients))
-  done;
+  let outcomes =
+    List.init count (fun i ->
+        let o = run_seed ?clients ~seed:(first + i) () in
+        log (log_line o);
+        o)
+  in
+  (* Per point: how many outcomes armed it, and how many of them fired. *)
+  let tally points armed =
+    let armed = List.filter_map armed outcomes in
+    List.map
+      (fun p ->
+        let fires = List.filter_map (fun (q, f) -> if q = p then Some f else None) armed in
+        (p, List.length fires, List.length (List.filter Fun.id fires)))
+      points
+  in
   { total = count
-  ; failed = List.rev !failed
-  ; coverage = List.map (fun p -> (p, Hashtbl.find sched p, Hashtbl.find fire p)) points
-  ; transients_total = !transients }
+  ; failed = List.filter (fun o -> o.failure <> None) outcomes
+  ; coverage = tally F.Point.all (fun o -> Some (o.point, o.fired))
+  ; restart_coverage = tally restart_points (fun o -> o.restart_crash)
+  ; transients_total = List.fold_left (fun n o -> n + o.transients) 0 outcomes }

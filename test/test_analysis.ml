@@ -386,13 +386,13 @@ let test_qs013_coverage () =
   check_deps "direct hit covers" []
     [ ( "lib/esm/fake_flush.ml"
       , "let flush t w =\n\
-        \  Qs_fault.hit t Qs_fault.Point.commit_pre_flush;\n\
+        \  Qs_fault.hit t Qs_fault.Point.Commit_pre_flush;\n\
         \  ignore (Wal.force w)\n" ) ];
   (* Coverage through a helper: the hit is inside [guard], and the
      effect summary carries the crash surface to the call site. *)
   check_deps "transitive hit covers" []
     [ ( "lib/esm/fake_flush.ml"
-      , "let guard t = Qs_fault.hit t Qs_fault.Point.commit_pre_flush\n\
+      , "let guard t = Qs_fault.hit t Qs_fault.Point.Commit_pre_flush\n\
          let flush t w =\n\
         \  guard t;\n\
         \  ignore (Wal.force w)\n" ) ];

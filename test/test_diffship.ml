@@ -228,7 +228,7 @@ let test_region_torn_crash_recovers_old () =
   let old_v = Bytes.make 64 'a' in
   let oid = Client.with_txn client (fun () -> Client.create_object_new_page client old_v) in
   Server.checkpoint server;
-  F.arm fault { F.no_faults with F.crash_point = Some (F.Point.commit_region_torn, 1); F.rng_seed = 3 };
+  F.arm fault { F.no_faults with F.crash_point = Some (F.Point.Commit_region_torn, 1); F.rng_seed = 3 };
   Client.begin_txn client;
   Client.update_object client oid ~off:0 (Bytes.make 64 'n');
   let page_id = oid.Oid.page in

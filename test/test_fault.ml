@@ -19,6 +19,7 @@ let mk ?(frames = 128) () =
   (fault, s, Client.create ~frames:32 s)
 
 let reconnect s = Client.create ~frames:32 s
+let point = Alcotest.testable (fun ppf p -> Format.pp_print_string ppf (F.Point.name p)) ( = )
 
 let setup_object c data =
   Client.begin_txn c;
@@ -38,7 +39,7 @@ let test_plan_of_spec () =
   Alcotest.(check (float 1e-9)) "disk write too" 0.01 p.F.disk_write_p;
   Alcotest.(check (float 1e-9)) "drop" 0.05 p.F.net_drop_p;
   (match p.F.crash_point with
-   | Some (pt, 2) -> Alcotest.(check string) "point" F.Point.commit_mid_flush pt
+   | Some (pt, 2) -> Alcotest.check point "point" F.Point.Commit_mid_flush pt
    | _ -> Alcotest.fail "crash point not parsed");
   Alcotest.(check int) "seed" 9 p.F.rng_seed;
   let q = F.plan_of_spec ~seed:0 "disk_read=0.5,delay=0.1,delay_us=5000" in
@@ -57,21 +58,23 @@ let test_plan_of_spec () =
 
 let test_point_registry () =
   Alcotest.(check int) "seventeen points" 17 (List.length F.Point.all);
-  List.iter (fun p -> Alcotest.(check bool) p true (F.Point.mem p)) F.Point.all;
-  let t = F.create () in
-  (match F.hit t "not.registered" with
-   | () -> Alcotest.fail "unregistered point accepted"
-   | exception Invalid_argument _ -> ())
+  Alcotest.(check int) "seventeen distinct names" 17
+    (List.length (List.sort_uniq String.compare (List.map F.Point.name F.Point.all)));
+  List.iter
+    (fun p ->
+      Alcotest.(check (option point)) (F.Point.name p) (Some p) (F.Point.of_name (F.Point.name p)))
+    F.Point.all;
+  Alcotest.(check (option point)) "unregistered name" None (F.Point.of_name "not.registered")
 
 (* --- disarmed = inert --- *)
 
 let test_disarmed_noop () =
   let t = F.create () in
   Alcotest.(check bool) "disarmed" false (F.armed t);
-  F.hit t F.Point.commit_pre_log;
+  F.hit t F.Point.Commit_pre_log;
   Alcotest.(check bool) "ok gate" true (F.disk_gate t ~op:F.Read ~page:3 = F.Io_ok);
   Alcotest.(check bool) "ok net" true (F.net_gate t ~op:"read" ~page:3 = F.Net_ok);
-  Alcotest.(check int) "no counts" 0 (F.hit_count t F.Point.commit_pre_log);
+  Alcotest.(check int) "no counts" 0 (F.hit_count t F.Point.Commit_pre_log);
   Alcotest.(check bool) "nothing fired" true (F.fired t = None)
 
 let run_workload ~arm_no_faults () =
@@ -99,16 +102,16 @@ let test_armed_no_faults_bit_identical () =
 let test_crash_fires_at_exact_hit () =
   let fault, s, c = mk () in
   let oid = setup_object c "aaaa" in
-  F.crash_at fault ~point:F.Point.commit_pre_log ~hit:2;
+  F.crash_at fault ~point:F.Point.Commit_pre_log ~hit:2;
   Client.with_txn c (fun () -> Client.update_object c oid ~off:0 (Bytes.of_string "bbbb"));
   (match
      Client.with_txn c (fun () -> Client.update_object c oid ~off:0 (Bytes.of_string "cccc"))
    with
   | () -> Alcotest.fail "second commit should crash"
-  | exception F.Injected_crash { point; hit } ->
-    Alcotest.(check string) "point" F.Point.commit_pre_log point;
+  | exception F.Injected_crash { point = p; hit } ->
+    Alcotest.check point "point" F.Point.Commit_pre_log p;
     Alcotest.(check int) "hit" 2 hit);
-  Alcotest.(check bool) "fired" true (F.fired fault = Some (F.Point.commit_pre_log, 2));
+  Alcotest.(check bool) "fired" true (F.fired fault = Some (F.Point.Commit_pre_log, 2));
   Alcotest.(check bool) "halted" true (F.halted fault);
   (* A dead server answers nothing. *)
   let c2 = reconnect s in
@@ -214,15 +217,15 @@ let crash_commit_then_restart ~point ~data =
 
 let test_pre_flush_is_loser () =
   Alcotest.(check string) "commit not forced: old value" "origin!"
-    (crash_commit_then_restart ~point:F.Point.commit_pre_flush ~data:"changed")
+    (crash_commit_then_restart ~point:F.Point.Commit_pre_flush ~data:"changed")
 
 let test_mid_flush_is_winner () =
   Alcotest.(check string) "commit forced: redo wins" "changed"
-    (crash_commit_then_restart ~point:F.Point.commit_mid_flush ~data:"changed")
+    (crash_commit_then_restart ~point:F.Point.Commit_mid_flush ~data:"changed")
 
 let test_torn_write_repaired_by_redo () =
   Alcotest.(check string) "torn page write: header old, redo reapplies" "changed"
-    (crash_commit_then_restart ~point:F.Point.disk_torn_write ~data:"changed")
+    (crash_commit_then_restart ~point:F.Point.Disk_torn_write ~data:"changed")
 
 let test_partial_log_force_is_atomic () =
   (* Two objects updated in one transaction; the log force is cut
@@ -232,7 +235,7 @@ let test_partial_log_force_is_atomic () =
     let fault, s, c = mk () in
     let a = setup_object c "aaaa" and b = setup_object c "bbbb" in
     F.arm fault
-      { F.no_faults with F.crash_point = Some (F.Point.wal_force_partial, 1); rng_seed = seed };
+      { F.no_faults with F.crash_point = Some (F.Point.Wal_force_partial, 1); rng_seed = seed };
     (match
        Client.with_txn c (fun () ->
            Client.update_object c a ~off:0 (Bytes.of_string "AAAA");
@@ -255,13 +258,17 @@ let test_partial_log_force_is_atomic () =
 
 (* --- torture harness --- *)
 
+(* [Torture.table] is a total match on the point, so every point has a
+   row; a point listed twice in [Point.all] would take two seeds of
+   every sweep's rotation. *)
 let test_torture_table () =
-  let rows = List.map (fun r -> r.Torture.point) Torture.table in
   List.iter
     (fun p ->
-      Alcotest.(check int) (p ^ " has one row") 1 (List.length (List.filter (String.equal p) rows)))
-    F.Point.all;
-  Alcotest.(check int) "no row outside the registry" (List.length F.Point.all) (List.length rows)
+      let name = F.Point.name p in
+      Alcotest.(check int) (name ^ " listed once") 1
+        (List.length (List.filter (( = ) p) F.Point.all));
+      Alcotest.(check bool) (name ^ " row can fire") true ((Torture.table p).Torture.bound >= 1))
+    F.Point.all
 
 let test_torture_one_seed_per_point () =
   let n = List.length F.Point.all in
@@ -269,7 +276,7 @@ let test_torture_one_seed_per_point () =
   Alcotest.(check (list string)) "no failed schedule" []
     (List.filter_map (fun o -> o.Torture.failure) s.Torture.failed);
   List.iter
-    (fun (p, scheduled, _) -> Alcotest.(check int) (p ^ " scheduled once") 1 scheduled)
+    (fun (p, scheduled, _) -> Alcotest.(check int) (F.Point.name p ^ " scheduled once") 1 scheduled)
     s.Torture.coverage
 
 let () =

@@ -1,5 +1,6 @@
 (* Crash/restart recovery tests: committed state survives, losers are
-   undone, logical index records replay idempotently, and a randomized
+   undone, logical index records replay idempotently, a crash inside
+   restart itself is recovered by the next restart, and a randomized
    crash-point property. *)
 
 module Server = Esm.Server
@@ -8,12 +9,20 @@ module Recovery = Esm.Recovery
 module Btree = Esm.Btree
 module Oid = Esm.Oid
 module Clock = Simclock.Clock
+module F = Qs_fault
 
 let mk () =
   let s = Server.create ~frames:128 ~clock:(Clock.create ()) ~cm:Simclock.Cost_model.default () in
   (s, Client.create ~frames:32 s)
 
 let reconnect s = Client.create ~frames:32 s
+
+let mk_faulty () =
+  let fault = F.create () in
+  let s =
+    Server.create ~frames:128 ~fault ~clock:(Clock.create ()) ~cm:Simclock.Cost_model.default ()
+  in
+  (fault, s, Client.create ~frames:32 s)
 
 let test_committed_survives_crash () =
   let s, c = mk () in
@@ -167,10 +176,11 @@ let test_crash_mid_commit_flush () =
   Client.commit c;
   Client.begin_txn c;
   List.iter (fun oid -> Client.update_object c oid ~off:0 (Bytes.of_string "MODIFIED")) oids;
-  Server.inject_crash_after_writes s 1;
+  F.crash_at (Server.fault_injector s) ~point:F.Point.Commit_ship_page ~hit:2;
   (match Client.commit c with
    | () -> Alcotest.fail "expected injected crash"
-   | exception Server.Injected_crash -> ());
+   | exception F.Injected_crash _ -> ());
+  F.disarm (Server.fault_injector s);
   Client.crash c;
   Server.crash s;
   ignore (Recovery.restart s);
@@ -200,10 +210,11 @@ let prop_atomic_commit_any_cut =
       Client.commit c;
       Client.begin_txn c;
       List.iter (fun oid -> Client.update_object c oid ~off:0 (Bytes.of_string "X")) oids;
-      Server.inject_crash_after_writes s cut;
+      F.crash_at (Server.fault_injector s) ~point:F.Point.Commit_ship_page ~hit:(cut + 1);
       let crashed =
-        match Client.commit c with () -> false | exception Server.Injected_crash -> true
+        match Client.commit c with () -> false | exception F.Injected_crash _ -> true
       in
+      F.disarm (Server.fault_injector s);
       if crashed then begin
         Client.crash c;
         Server.crash s;
@@ -278,6 +289,82 @@ let prop_losers_never_leak =
       Client.commit c;
       !ok)
 
+(* --- crashes inside restart --- *)
+
+(* The first restart is cut at [point]'s [hit]-th pass; the next,
+   sanitized restart must finish the job, and a third must find no
+   loser left. *)
+let restart_cut_at fault s ~point ~hit =
+  F.crash_at fault ~point ~hit;
+  (match Recovery.restart ~sanitize:true s with
+   | _ -> Alcotest.fail "the armed crash did not fire inside restart"
+   | exception F.Injected_crash _ -> ());
+  F.disarm fault;
+  Server.crash s;
+  let stats = Recovery.restart ~sanitize:true s in
+  Server.crash s;
+  let again = Recovery.restart ~sanitize:true s in
+  Alcotest.(check int) "third restart undoes no loser" 0 again.Recovery.losers_undone;
+  stats
+
+(* A loser's three updates to one page are stolen and made durable by
+   another transaction's commit; the crash leaves restart to undo them.
+   Restart must log each compensation before its page reaches the
+   disk, or a crash inside restart strands a page LSN the log never
+   got (QSan lsn-monotone). *)
+let test_crash_inside_restart ~point ~hit () =
+  let fault, s, c = mk_faulty () in
+  Client.begin_txn c;
+  let oid = Client.create_object_new_page c (Bytes.of_string "aaaaaaaa") in
+  Client.commit c;
+  Client.begin_txn c;
+  List.iteri (fun off u -> Client.update_object c oid ~off (Bytes.of_string u)) [ "A"; "B"; "C" ];
+  (match Client.frame_of_page c oid.Oid.page with
+   | Some frame -> Client.evict_page c ~frame
+   | None -> Alcotest.fail "page not resident");
+  let c2 = reconnect s in
+  Client.begin_txn c2;
+  ignore (Client.create_object_new_page c2 (Bytes.make 8 'z'));
+  Client.commit c2;
+  Client.crash c;
+  Server.crash s;
+  ignore (restart_cut_at fault s ~point ~hit);
+  let c = reconnect s in
+  Client.begin_txn c;
+  Alcotest.(check bytes) "loser undone" (Bytes.of_string "aaaaaaaa") (Client.read_object c oid);
+  Client.commit c
+
+(* A committed index insert whose commit flush was cut: restart replays
+   it logically through its own client, whose commit flush is cut in
+   turn. *)
+let test_crash_in_restart_index_flush () =
+  let fault, s, c = mk_faulty () in
+  Client.begin_txn c;
+  let t = Btree.create c ~klen:8 in
+  let root = Btree.root t in
+  Btree.insert t ~key:(ikey 1) ~oid:(oid_of_int 1);
+  Client.commit c;
+  Client.begin_txn c;
+  let t = Btree.open_tree c ~root ~klen:8 in
+  for i = 2 to 5 do
+    Btree.insert t ~key:(ikey i) ~oid:(oid_of_int i)
+  done;
+  F.crash_at fault ~point:F.Point.Commit_mid_flush ~hit:1;
+  (match Client.commit c with
+   | () -> Alcotest.fail "the commit flush should crash"
+   | exception F.Injected_crash _ -> ());
+  Client.crash c;
+  F.disarm fault;
+  Server.crash s;
+  let stats = restart_cut_at fault s ~point:F.Point.Commit_mid_flush ~hit:1 in
+  Alcotest.(check bool) "inserts replayed" true (stats.Recovery.logical_replayed >= 4);
+  let c = reconnect s in
+  Client.begin_txn c;
+  let t = Btree.open_tree c ~root ~klen:8 in
+  Alcotest.(check int) "all entries" 5 (Btree.cardinal t);
+  Alcotest.(check bool) "invariants" true (Btree.invariants_hold t);
+  Client.commit c
+
 (* --- QSan: sanitized restart --- *)
 
 (* The standard crash scenario must be violation-free under
@@ -320,6 +407,30 @@ let test_sanitized_restart_catches_stale_lsn () =
    | exception Qs_util.Sanitizer.Sanitizer_violation v ->
      Alcotest.(check string) "check id" "lsn-monotone" v.Qs_util.Sanitizer.check)
 
+(* Two losers logging updates to one page is what strict 2PL rules out,
+   and what undoing losers one at a time relies on; forge it below the
+   lock manager and sanitized restart must refuse it. *)
+let test_sanitized_restart_catches_shared_loser_page () =
+  let s, c = mk () in
+  Client.begin_txn c;
+  let oid = Client.create_object_new_page c (Bytes.of_string "durable!") in
+  Client.commit c;
+  let page = oid.Oid.page in
+  List.iter
+    (fun u ->
+      let txn = Server.begin_txn s in
+      ignore
+        (Server.log_update s ~txn ~page ~off:64 ~old_data:(Bytes.of_string "-")
+           ~new_data:(Bytes.of_string u)))
+    [ "x"; "y" ];
+  ignore (Esm.Wal.force (Server.wal s));
+  Client.crash c;
+  Server.crash s;
+  match Recovery.restart ~sanitize:true s with
+  | _ -> Alcotest.fail "two losers on one page not caught"
+  | exception Qs_util.Sanitizer.Sanitizer_violation v ->
+    Alcotest.(check string) "check id" "loser-disjoint" v.Qs_util.Sanitizer.check
+
 let () =
   Alcotest.run "recovery"
     [ ( "recovery"
@@ -331,10 +442,21 @@ let () =
         ; Alcotest.test_case "index committed" `Quick test_index_recovery_committed
         ; Alcotest.test_case "index loser removed" `Quick test_index_recovery_loser_insert_removed
         ; Alcotest.test_case "crash mid commit flush" `Quick test_crash_mid_commit_flush ] )
+    ; ( "in restart"
+      , [ Alcotest.test_case "loser undo cut at commit.pre_log" `Quick
+            (test_crash_inside_restart ~point:F.Point.Commit_pre_log ~hit:1)
+        ; Alcotest.test_case "loser undo cut at abort.mid_undo" `Quick
+            (test_crash_inside_restart ~point:F.Point.Abort_mid_undo ~hit:2)
+        ; Alcotest.test_case "loser undo cut at wal.force_partial" `Quick
+            (test_crash_inside_restart ~point:F.Point.Wal_force_partial ~hit:1)
+        ; Alcotest.test_case "index replay cut at commit.mid_flush" `Quick
+            test_crash_in_restart_index_flush ] )
     ; ( "qsan"
       , [ Alcotest.test_case "sanitized restart clean" `Quick test_sanitized_restart_clean
         ; Alcotest.test_case "catches future page LSN" `Quick
-            test_sanitized_restart_catches_stale_lsn ] )
+            test_sanitized_restart_catches_stale_lsn
+        ; Alcotest.test_case "catches two losers on one page" `Quick
+            test_sanitized_restart_catches_shared_loser_page ] )
     ; ( "properties"
       , List.map QCheck_alcotest.to_alcotest
           [ prop_atomic_commit_any_cut; prop_committed_always_durable; prop_losers_never_leak ]

@@ -128,7 +128,7 @@ let test_too_old_exhaustion () =
 (* --- crash recovery at the snapshot crash points --- *)
 
 let crash_exn = function
-  | F.Injected_crash _ | Server.Injected_crash | Server.Server_down -> true
+  | F.Injected_crash _ | Server.Server_down -> true
   | _ -> false
 
 (* Shared tail: take the crash, restart with QSan, and prove the
@@ -165,7 +165,7 @@ let test_crash_at_materialize () =
   (* One committed update so the read below has a chain to walk. *)
   Client.with_txn writer (fun () ->
       Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:1));
-  F.arm fault { F.no_faults with F.crash_point = Some (F.Point.snapshot_materialize, 1) };
+  F.arm fault { F.no_faults with F.crash_point = Some (F.Point.Snapshot_materialize, 1) };
   (match
      Client.with_snapshot_txn reader ~frames:8 (fun () ->
          ignore (Client.snapshot_read_object reader oids.(0)))
@@ -186,7 +186,7 @@ let test_crash_at_trim () =
     Client.with_txn writer (fun () ->
         Client.update_object writer oids.(v mod 3) ~off:0 (value ~idx:(v mod 3) ~version:v))
   done;
-  F.arm fault { F.no_faults with F.crash_point = Some (F.Point.snapshot_trim, 1) };
+  F.arm fault { F.no_faults with F.crash_point = Some (F.Point.Snapshot_trim, 1) };
   (match Server.trim_versions server with
   | () -> Alcotest.fail "expected the injected crash to fire"
   | exception e when crash_exn e -> ());
