@@ -129,6 +129,23 @@ let btree_kernels () =
       incr d;
       every_4096 !d )
 
+(* Commit-time page diff (gap 25) of an 8 KB page against its
+   snapshot, one kernel per page shape so the scan's host cost is
+   tracked for each: a few scattered bytes, equal pages, and a 1 KB
+   dirty run. *)
+let diff_kernels () =
+  let kernel ~name dirty =
+    let old_bytes = Bytes.make 8192 'a' in
+    let new_bytes = Bytes.copy old_bytes in
+    List.iter (fun i -> Bytes.set new_bytes i 'b') dirty;
+    Bechamel.Test.make ~name
+      (Bechamel.Staged.stage (fun () ->
+           ignore (Qs_util.Codec.diff_regions ~old_bytes ~new_bytes ~gap:25)))
+  in
+  [ kernel ~name:"fig11/page-diff" [ 10; 500; 501; 502; 4000; 8000 ]
+  ; kernel ~name:"fig11/page-diff-equal" []
+  ; kernel ~name:"fig11/page-diff-1k-run" (List.init 1024 (fun i -> 2048 + i)) ]
+
 let run_bechamel tests =
   let open Bechamel in
   let open Toolkit in
@@ -200,12 +217,6 @@ let bechamel_suite () =
         end )
   in
   let btree_insert_kernel, btree_delete_kernel = btree_kernels () in
-  let diff_kernel =
-    let old_bytes = Bytes.make 8192 'a' in
-    let new_bytes = Bytes.copy old_bytes in
-    List.iter (fun i -> Bytes.set new_bytes i 'b') [ 10; 500; 501; 502; 4000; 8000 ];
-    fun () -> ignore (Qs_util.Codec.diff_regions ~old_bytes ~new_bytes ~gap:25)
-  in
   let tests =
     [ Test.make ~name:"table2/txn-begin-commit"
         (Staged.stage (fun () -> qs.Sys_.run_isolated (fun () -> ())))
@@ -216,7 +227,6 @@ let bechamel_suite () =
     ; Test.make ~name:"table5/qs-fault-path" (Staged.stage (cold qs "T7"))
     ; Test.make ~name:"table6/qs-swizzle-100pct" (Staged.stage (cold qs_cr "T1"))
     ; Test.make ~name:"fig10/qs-T2B-update" (Staged.stage (update qs "T2B"))
-    ; Test.make ~name:"fig11/page-diff" (Staged.stage diff_kernel)
     ; Test.make ~name:"fig12/qs-T1-hot" (Staged.stage (hot qs "T1"))
     ; Test.make ~name:"fig13/e-Q5-hot" (Staged.stage (hot e "Q5"))
     ; Test.make ~name:"table7/e-T1-hot" (Staged.stage (hot e "T1"))
@@ -231,6 +241,7 @@ let bechamel_suite () =
     ; Test.make ~name:"btree_insert" (Staged.stage btree_insert_kernel)
     ; Test.make ~name:"btree_delete" (Staged.stage btree_delete_kernel)
     ; Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ())) ]
+    @ diff_kernels ()
   in
   run_bechamel tests
 
@@ -562,6 +573,12 @@ let () =
     let open Bechamel in
     section "Bechamel deref kernel (protected no-fault access path)";
     run_bechamel [ Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ())) ];
+    exit 0
+  end;
+  if List.mem "diff" argv then begin
+    (* Fast path for the EXPERIMENTS.md page-diff numbers. *)
+    section "Bechamel page-diff kernels (scattered bytes, equal pages, 1 KB dirty run)";
+    run_bechamel (diff_kernels ());
     exit 0
   end;
   if List.mem "btree" argv then begin

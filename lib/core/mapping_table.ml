@@ -43,8 +43,7 @@ let remove t d =
   | Small_page _ -> Hashtbl.remove t.hash (key_of_desc d)
   | Large_range { first; _ } -> if first = 0 then Hashtbl.remove t.hash (key_of_desc d)
 
-let find_by_vframe t vframe =
-  Option.map (fun (_, _, d) -> d) (Avl.find_containing t.tree vframe)
+let find_by_vframe t vframe = Avl.find_payload t.tree vframe
 
 let find_by_page t page =
   match Hashtbl.find_opt t.hash (K_page page) with

@@ -1076,16 +1076,23 @@ let update_mapping_object t ~page_id ~frame =
      Hashtbl.replace seen (entry_key (entry_of_desc d)) ();
      self d
    | None -> ());
+  (* The table does not change inside this walk, so a pointer into the
+     previous pointer's frame names the same descriptor, whose entry is
+     already in [seen]: only the lookup is skipped, never the charge
+     (one per pointer, in order — [charge_n] would round differently). *)
+  let prev_frame = ref (-1) in
   Bitset.iter_set
     (fun word ->
       charge t Category.Map_update t.cm.CM.map_update_ptr_us;
       let p = Qs_util.Codec.get_u32 bytes (word * 4) in
-      if p <> 0 then begin
+      if p <> 0 && p lsr 13 <> !prev_frame then begin
+        prev_frame := p lsr 13;
         match MT.find_by_vframe t.table (p lsr 13) with
         | Some d ->
           let e = entry_of_desc d in
-          if not (Hashtbl.mem seen (entry_key e)) then begin
-            Hashtbl.replace seen (entry_key e) ();
+          let key = entry_key e in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.replace seen key ();
             entries := e :: !entries
           end
         | None -> ()

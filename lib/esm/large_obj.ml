@@ -101,14 +101,3 @@ let write client oid ~off data =
           Client.log_update client ~page_id ~frame ~off:(32 + page_off) ~old_data
             ~new_data:(Bytes.sub data buf_off n);
           Client.mark_dirty client ~frame))
-
-let destroy client oid =
-  let ids = page_ids client oid in
-  let server = Client.server client in
-  Array.iter
-    (fun id ->
-      Client.discard_page client id;
-      Server.free_page server id)
-    ids;
-  Client.discard_page client oid.Oid.page;
-  Server.free_page server oid.Oid.page

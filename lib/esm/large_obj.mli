@@ -31,4 +31,3 @@ val read : Client.t -> Oid.t -> off:int -> len:int -> bytes
 val get_byte : Client.t -> Oid.t -> int -> char
 
 val write : Client.t -> Oid.t -> off:int -> bytes -> unit
-val destroy : Client.t -> Oid.t -> unit

@@ -654,15 +654,6 @@ let alloc_page t =
   Qs_trace.charge t.clock Simclock.Category.Lock_acquire t.cm.Simclock.Cost_model.lock_us;
   Disk.alloc t.disk
 
-let free_page t page_id =
-  serve @@ fun () ->
-  (match Buf_pool.lookup t.pool page_id with
-   | Some f ->
-     Buf_pool.clear_dirty t.pool f;
-     Buf_pool.evict t.pool f
-   | None -> ());
-  Disk.free t.disk page_id
-
 let lock ?client t ~txn resource mode =
   serve @@ fun () ->
   check_active t txn "lock";

@@ -129,7 +129,6 @@ val apply_regions :
   t -> txn:int -> seq:int -> ?check:bytes -> int -> (int * bytes) list -> unit
 
 val alloc_page : t -> int
-val free_page : t -> int -> unit
 
 (** {2 Locks and logging} *)
 

@@ -577,10 +577,14 @@ let table : F.Point.t -> row =
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 
-(* The crash points restart passes here: each loser's [Server.abort]
-   and the restart client's commit. No regime keeps a B-tree, so that
+(* The crash points restart passes here, each with the bound of its
+   drawn hit: each loser's [Server.abort] passes the undo and log-force
+   points once per undone record or force, a varying number of times;
+   the restart client's one commit passes its points once, so a hit
+   above 1 could never fire there. No regime keeps a B-tree, so that
    commit flushes no page: [commit.mid_flush] is left to test_recovery. *)
-let restart_points = F.Point.[ Abort_mid_undo; Wal_force_partial; Commit_pre_log; Commit_pre_flush ]
+let restart_points =
+  F.Point.[ (Abort_mid_undo, 4); (Wal_force_partial, 4); (Commit_pre_log, 1); (Commit_pre_flush, 1) ]
 
 let run_schedule point ~seed ~clients =
   let row = table point in
@@ -620,9 +624,9 @@ let run_schedule point ~seed ~clients =
       if !crashed then begin
         (* The first restart is itself cut at a drawn point; if that
            fires, a clean restart must finish its work. *)
-        let rpoint = List.nth restart_points (Rng.int rng (List.length restart_points)) in
+        let rpoint, reachable = List.nth restart_points (Rng.int rng (List.length restart_points)) in
         let cut =
-          { F.no_faults with F.crash_point = Some (rpoint, 1 + Rng.int rng 4); rng_seed = seed }
+          { F.no_faults with F.crash_point = Some (rpoint, 1 + Rng.int rng reachable); rng_seed = seed }
         in
         (match restart ~cut () with
          | _ -> F.disarm fault
@@ -716,5 +720,5 @@ let run_range ?(log = fun _ -> ()) ?clients ~first ~count () =
   { total = count
   ; failed = List.filter (fun o -> o.failure <> None) outcomes
   ; coverage = tally F.Point.all (fun o -> Some (o.point, o.fired))
-  ; restart_coverage = tally restart_points (fun o -> o.restart_crash)
+  ; restart_coverage = tally (List.map fst restart_points) (fun o -> o.restart_crash)
   ; transients_total = List.fold_left (fun n o -> n + o.transients) 0 outcomes }

@@ -40,47 +40,63 @@ let get_cstring b off len =
   let s = get_string b off len in
   match String.index_opt s '\000' with None -> s | Some i -> String.sub s 0 i
 
+(* Unchecked native-endian 8-byte load; the diff scans only test words
+   for equality, so byte order does not matter. Callers keep
+   [0 <= off && off + 8 <= Bytes.length b]. *)
+external unsafe_get_word : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* First index in [i, stop) where [a] and [b] differ, or [stop]: equal
+   8-byte words are skipped whole, bytes are compared only inside a
+   differing word and in the tail. Bounds: [0 <= i] and [stop] within
+   both buffers. Top-level recursion, so a call allocates nothing. *)
+let rec first_diff_byte a b i stop =
+  if i >= stop || Bytes.unsafe_get a i <> Bytes.unsafe_get b i then i
+  else first_diff_byte a b (i + 1) stop
+
+let rec first_diff a b i stop =
+  if i + 8 > stop then first_diff_byte a b i stop
+  else if (unsafe_get_word a i : int64) = unsafe_get_word b i then first_diff a b (i + 8) stop
+  else first_diff_byte a b i stop
+
+(* First index in [i, stop) where [a] and [b] agree, or [stop]. *)
+let rec first_same a b i stop =
+  if i >= stop || Bytes.unsafe_get a i = Bytes.unsafe_get b i then i else first_same a b (i + 1) stop
+
+(* [s, e) is the open region and [e] its first clean byte; the next
+   differing run joins it when at most [gap] clean bytes separate them
+   (cheaper as one record than two). *)
+let rec scan_regions a b n gap s e acc =
+  let d = first_diff a b e n in
+  if d >= n then List.rev ((s, e - s) :: acc)
+  else
+    let e' = first_same a b (d + 1) n in
+    if d - e <= gap then scan_regions a b n gap s e' acc
+    else scan_regions a b n gap d e' ((s, e - s) :: acc)
+
 let diff_regions ~old_bytes ~new_bytes ~gap =
   let n = Bytes.length old_bytes in
   if Bytes.length new_bytes <> n then invalid_arg "Codec.diff_regions: length mismatch";
-  let regions = ref [] in
-  (* Walk once, tracking the open region; a clean gap shorter than
-     [gap] does not close it (cheaper as one record than two). *)
-  let rec scan i current =
-    if i >= n then begin
-      match current with Some (s, e) -> regions := (s, e - s) :: !regions | None -> ()
-    end
-    else begin
-      let differs = Bytes.get old_bytes i <> Bytes.get new_bytes i in
-      match (current, differs) with
-      | None, false -> scan (i + 1) None
-      | None, true -> scan (i + 1) (Some (i, i + 1))
-      | Some (s, e), true -> scan (i + 1) (Some (s, max e (i + 1)))
-      | Some (s, e), false ->
-        if i - e >= gap then begin
-          regions := (s, e - s) :: !regions;
-          scan (i + 1) None
-        end
-        else scan (i + 1) (Some (s, e))
-    end
-  in
-  scan 0 None;
-  List.rev !regions
+  let d = first_diff old_bytes new_bytes 0 n in
+  if d >= n then []
+  else scan_regions old_bytes new_bytes n gap d (first_same old_bytes new_bytes (d + 1) n) []
 
 (* QSan shadow check: would replaying [regions] out of [new_bytes]
    onto [old_bytes] reproduce [new_bytes] exactly? I.e., does the
    coalesced diff account for every differing byte of the full-page
-   comparison? Regions must be ascending (as [diff_regions] emits). *)
+   comparison? Regions must be ascending (as [diff_regions] emits).
+   Bytes before the head region must agree; its own bytes are skipped
+   whole. *)
+let rec cover_from a b n i regions =
+  i >= n
+  ||
+  match regions with
+  | (off, len) :: rest when i >= off + len -> cover_from a b n i rest
+  | (off, len) :: _ when i >= off -> cover_from a b n (off + len) regions
+  | (off, _) :: _ ->
+    let stop = min n off in
+    first_diff a b i stop >= stop && cover_from a b n stop regions
+  | [] -> first_diff a b i n >= n
+
 let regions_cover ~old_bytes ~new_bytes regions =
   let n = Bytes.length old_bytes in
-  Bytes.length new_bytes = n
-  &&
-  let rec go i regions =
-    if i >= n then true
-    else
-      match regions with
-      | (off, len) :: rest when i >= off + len -> go i rest
-      | (off, len) :: _ when i >= off && i < off + len -> go (i + 1) regions
-      | _ -> Bytes.get old_bytes i = Bytes.get new_bytes i && go (i + 1) regions
-  in
-  go 0 regions
+  Bytes.length new_bytes = n && cover_from old_bytes new_bytes n 0 regions

@@ -78,13 +78,13 @@ let remove t ~lo =
   in
   go t
 
-let rec find_containing t x =
+let rec find_node t x =
   match t with
-  | Leaf -> None
-  | Node n ->
-    if x < n.lo then find_containing n.l x
-    else if x >= n.hi then find_containing n.r x
-    else Some (n.lo, n.hi, n.v)
+  | Leaf -> Leaf
+  | Node n -> if x < n.lo then find_node n.l x else if x >= n.hi then find_node n.r x else t
+
+let find_containing t x = match find_node t x with Leaf -> None | Node n -> Some (n.lo, n.hi, n.v)
+let find_payload t x = match find_node t x with Leaf -> None | Node n -> Some n.v
 
 let rec find_first_from t x =
   match t with

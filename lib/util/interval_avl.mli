@@ -27,6 +27,10 @@ val remove : 'a t -> lo:int -> 'a t
     [lo <= x < hi], if any. *)
 val find_containing : 'a t -> int -> (int * int * 'a) option
 
+(** The payload alone of {!find_containing}, without building the
+    triple. *)
+val find_payload : 'a t -> int -> 'a option
+
 (** Interval with the smallest [lo] such that [lo >= x]. *)
 val find_first_from : 'a t -> int -> (int * int * 'a) option
 

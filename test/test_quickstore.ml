@@ -108,6 +108,62 @@ let test_static_mapping_across_runs () =
   Alcotest.(check int) "run 2: nothing relocated" 0 (Store.stats st).Store.relocations;
   Alcotest.(check int) "run 2: nothing swizzled" 0 (Store.stats st).Store.pages_swizzled
 
+(* Commit-time mapping maintenance looks a pointer's frame up only when
+   it differs from the previous pointer's frame. A page whose pointers
+   run A, A, B, A, null, then into two ranges of one split large object,
+   must still record A, B and the large object once each: a fresh
+   session that faults the page in maps every target from that record
+   alone, so every pointer must dereference. *)
+let fan_def =
+  Schema.class_def "Fan" (List.init 7 (fun i -> (Printf.sprintf "p%d" i, Schema.F_ptr)))
+
+let test_mapping_walk_patterns () =
+  let _server, st = mk () in
+  Store.register_class st fan_def;
+  let f_id = Store.field st ~cls:"Node" ~name:"id" in
+  let slot i = Store.field st ~cls:"Fan" ~name:(Printf.sprintf "p%d" i) in
+  let payload = Esm.Large_obj.page_payload in
+  Store.reset_stats st;
+  Store.begin_txn st;
+  let page_a = Store.new_cluster st and page_b = Store.new_cluster st in
+  let node cluster id =
+    let p = Store.create st ~cls:"Node" ~cluster in
+    Store.set_int st p f_id id;
+    p
+  in
+  let a1 = node page_a 1 and a2 = node page_a 2 and a3 = node page_a 3 and b = node page_b 4 in
+  let large = Store.create_large st ~size:(8 * payload) in
+  let unsplit = Store.mapping_table_size st in
+  (* Writing pages 0 and 5 faults them in, splitting the one range
+     into [0], [1-4], [5] and [6-7]. *)
+  Store.large_write st large ~off:0 (Bytes.of_string "L");
+  Store.large_write st large ~off:(5 * payload) (Bytes.of_string "M");
+  Alcotest.(check int) "large object split into four ranges" (unsplit + 3)
+    (Store.mapping_table_size st);
+  let fan = Store.create st ~cls:"Fan" ~cluster:(Store.new_cluster st) in
+  List.iteri
+    (fun i p -> Store.set_ptr st fan (slot i) p)
+    [ a1; a2; b; a3; Store.null; large; large + (5 lsl 13) ];
+  Store.set_root st "fan" fan;
+  Store.commit st;
+  (* Only the fan's page gains entries; a walk that looked up every
+     pointer counted the same. *)
+  Alcotest.(check int) "mapping objects updated at commit" 1
+    (Store.stats st).Store.mapping_objects_updated;
+  Store.reset_caches st;
+  Store.reset_stats st;
+  Store.begin_txn st;
+  let fan = Store.root st "fan" in
+  let target i = Store.get_ptr st fan (slot i) in
+  Alcotest.(check (list int)) "A, A, B, A dereference" [ 1; 2; 4; 3 ]
+    (List.map (fun i -> Store.get_int st (target i) f_id) [ 0; 1; 2; 3 ]);
+  Alcotest.(check bool) "null stays null" true (Store.is_null (target 4));
+  Alcotest.(check char) "large range 0" 'L' (Store.large_byte st (target 5) 0);
+  Alcotest.(check char) "large range 5" 'M' (Store.large_byte st (target 6) 0);
+  Store.commit st;
+  Alcotest.(check int) "read-only session updates nothing" 0
+    (Store.stats st).Store.mapping_objects_updated
+
 let test_update_commit_durable () =
   let server, st = mk () in
   build_list st ~n:50 ~per_cluster:10;
@@ -696,12 +752,181 @@ let test_regions_cover_shadow () =
   Alcotest.(check bool) "empty diff of equal pages" true
     (Codec.regions_cover ~old_bytes:new_bytes ~new_bytes [])
 
+(* --- Diff oracle: the byte-at-a-time scan Codec used before the
+   word-at-a-time one, kept verbatim. Both functions must agree with it
+   on every input below. *)
+
+module Old_diff = struct
+  let diff_regions ~old_bytes ~new_bytes ~gap =
+    let n = Bytes.length old_bytes in
+    if Bytes.length new_bytes <> n then invalid_arg "Codec.diff_regions: length mismatch";
+    let regions = ref [] in
+    let rec scan i current =
+      if i >= n then begin
+        match current with Some (s, e) -> regions := (s, e - s) :: !regions | None -> ()
+      end
+      else begin
+        let differs = Bytes.get old_bytes i <> Bytes.get new_bytes i in
+        match (current, differs) with
+        | None, false -> scan (i + 1) None
+        | None, true -> scan (i + 1) (Some (i, i + 1))
+        | Some (s, e), true -> scan (i + 1) (Some (s, max e (i + 1)))
+        | Some (s, e), false ->
+          if i - e >= gap then begin
+            regions := (s, e - s) :: !regions;
+            scan (i + 1) None
+          end
+          else scan (i + 1) (Some (s, e))
+      end
+    in
+    scan 0 None;
+    List.rev !regions
+
+  let regions_cover ~old_bytes ~new_bytes regions =
+    let n = Bytes.length old_bytes in
+    Bytes.length new_bytes = n
+    &&
+    let rec go i regions =
+      if i >= n then true
+      else
+        match regions with
+        | (off, len) :: rest when i >= off + len -> go i rest
+        | (off, len) :: _ when i >= off && i < off + len -> go (i + 1) regions
+        | _ -> Bytes.get old_bytes i = Bytes.get new_bytes i && go (i + 1) regions
+    in
+    go 0 regions
+end
+
+let regions_t = Alcotest.(list (pair int int))
+
+(* Region lists worth asking [regions_cover] about, given the honest
+   diff: itself, each region dropped, each region shortened by one at
+   either end, a gap-0 diff, and nothing. *)
+let cover_candidates ~old_bytes ~new_bytes regions =
+  let drop k = List.filteri (fun i _ -> i <> k) regions in
+  let trim k ~front =
+    List.mapi
+      (fun i (off, len) -> if i <> k then (off, len) else if front then (off + 1, len - 1) else (off, len - 1))
+      regions
+  in
+  (regions :: [] :: Codec.diff_regions ~old_bytes ~new_bytes ~gap:0 :: List.init (List.length regions) drop)
+  @ List.init (List.length regions) (trim ~front:true)
+  @ List.init (List.length regions) (trim ~front:false)
+
+let check_against_oracle ~what ~old_bytes ~new_bytes ~gap =
+  let expect = Old_diff.diff_regions ~old_bytes ~new_bytes ~gap in
+  let got = Codec.diff_regions ~old_bytes ~new_bytes ~gap in
+  Alcotest.check regions_t (Printf.sprintf "%s: diff_regions gap %d" what gap) expect got;
+  List.iteri
+    (fun k regions ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: regions_cover gap %d candidate %d" what gap k)
+        (Old_diff.regions_cover ~old_bytes ~new_bytes regions)
+        (Codec.regions_cover ~old_bytes ~new_bytes regions))
+    (cover_candidates ~old_bytes ~new_bytes got)
+
+let oracle_gaps = [ 0; 1; 25 ]
+
+(* [base] with the bytes at [offs] changed. *)
+let with_changes base offs =
+  let b = Bytes.copy base in
+  List.iter
+    (fun i -> if i >= 0 && i < Bytes.length b then Bytes.set b i (Char.chr ((Char.code (Bytes.get b i) + 1) land 0xff)))
+    offs;
+  b
+
+let test_diff_oracle_adversarial () =
+  let page = Bytes.init 8192 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let case what offs =
+    let new_bytes = with_changes page offs in
+    List.iter (fun gap -> check_against_oracle ~what ~old_bytes:page ~new_bytes ~gap) oracle_gaps
+  in
+  case "all equal" [];
+  case "all different" (List.init 8192 Fun.id);
+  (* Word boundaries, one at a time and in straddling pairs. *)
+  List.iter (fun i -> case (Printf.sprintf "byte %d" i) [ i ]) [ 0; 7; 8; 15; 16; 8183; 8184; 8191 ];
+  case "7/8 pair" [ 7; 8 ];
+  case "8183/8184 pair" [ 8183; 8184 ];
+  case "first and last" [ 0; 8191 ];
+  (* Clean gaps of exactly [gap] and [gap + 1] bytes, across a word
+     boundary and inside one. *)
+  List.iter
+    (fun gap ->
+      List.iter
+        (fun start ->
+          case (Printf.sprintf "gap %d at %d" gap start) [ start; start + gap + 1 ];
+          case (Printf.sprintf "gap %d+1 at %d" gap start) [ start; start + gap + 2 ])
+        [ 3; 7; 8; 8160 ])
+    oracle_gaps;
+  (* A dirty run that spans words, then a dirty word with clean bytes
+     inside it. *)
+  case "1 KB run" (List.init 1024 (fun i -> 2048 + i));
+  case "every other byte" (List.init 64 (fun i -> 4096 + (2 * i)));
+  (* Lengths that are not a multiple of 8, every subset-shaped pattern
+     of a few changes. *)
+  for n = 0 to 17 do
+    let old_bytes = Bytes.sub page 0 n in
+    for mask = 0 to (1 lsl min n 6) - 1 do
+      let offs = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init (min n 6) Fun.id) in
+      let offs = if n > 6 && mask land 1 = 1 then (n - 1) :: offs else offs in
+      let new_bytes = with_changes old_bytes offs in
+      List.iter
+        (fun gap -> check_against_oracle ~what:(Printf.sprintf "len %d mask %d" n mask) ~old_bytes ~new_bytes ~gap)
+        oracle_gaps
+    done
+  done
+
+let test_diff_oracle_random () =
+  let rng = Qs_util.Rng.create 2024 in
+  for round = 1 to 300 do
+    let n = if round mod 3 = 0 then Qs_util.Rng.int rng 64 else 8192 in
+    let old_bytes = Bytes.init n (fun _ -> Char.chr (Qs_util.Rng.int rng 4)) in
+    (* Mix scattered single-byte writes with short dirty runs; values
+       drawn from a small alphabet so some writes leave a byte equal. *)
+    let new_bytes = Bytes.copy old_bytes in
+    if n > 0 then
+      for _ = 1 to Qs_util.Rng.int rng 80 do
+        let at = Qs_util.Rng.int rng n in
+        let len = if Qs_util.Rng.bool rng then 1 else 1 + Qs_util.Rng.int rng 40 in
+        for i = at to min (n - 1) (at + len - 1) do
+          Bytes.set new_bytes i (Char.chr (Qs_util.Rng.int rng 4))
+        done
+      done;
+    let gap = List.nth (oracle_gaps @ [ Qs_util.Rng.int rng 64 ]) (Qs_util.Rng.int rng 4) in
+    check_against_oracle ~what:(Printf.sprintf "round %d" round) ~old_bytes ~new_bytes ~gap
+  done
+
+(* Diffing two equal pages allocates a small constant, whatever the
+   pages hold; a differing page allocates per region, not per byte: a
+   1 KB dirty run costs what one dirty byte does. *)
+let test_diff_allocation () =
+  let words_for page offs =
+    let copy = with_changes page offs in
+    ignore (Codec.diff_regions ~old_bytes:page ~new_bytes:copy ~gap:25);
+    let before = Gc.minor_words () in
+    let regions = Codec.diff_regions ~old_bytes:page ~new_bytes:copy ~gap:25 in
+    let covered = Codec.regions_cover ~old_bytes:page ~new_bytes:copy regions in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "regions cover" true covered;
+    Alcotest.(check int) "regions" (if offs = [] then 0 else 1) (List.length regions);
+    words
+  in
+  let zeros = Bytes.make 8192 '\000' in
+  let mixed = Bytes.init 8192 (fun i -> Char.chr (i * 31 land 0xff)) in
+  let equal = words_for zeros [] in
+  Alcotest.(check (float 0.0)) "equal pages: same allocation for any content" equal (words_for mixed []);
+  Alcotest.(check bool) (Printf.sprintf "equal pages: small constant (%.0f words)" equal) true
+    (equal <= 16.0);
+  Alcotest.(check (float 0.0)) "1 KB run allocates what one byte does" (words_for mixed [ 4096 ])
+    (words_for mixed (List.init 1024 (fun i -> 2048 + i)))
+
 let () =
   Alcotest.run "quickstore"
     [ ( "store"
       , [ Alcotest.test_case "create and walk" `Quick test_create_and_walk
         ; Alcotest.test_case "cold walk faults" `Quick test_cold_walk_faults
         ; Alcotest.test_case "static mapping across runs" `Quick test_static_mapping_across_runs
+        ; Alcotest.test_case "mapping walk pointer patterns" `Quick test_mapping_walk_patterns
         ; Alcotest.test_case "update durable" `Quick test_update_commit_durable
         ; Alcotest.test_case "abort restores" `Quick test_abort_restores
         ; Alcotest.test_case "crash recovery" `Quick test_crash_recovery
@@ -727,6 +952,10 @@ let () =
         ; Alcotest.test_case "callback locking retains pages" `Quick
             test_callback_locking_retains_pages
         ; Alcotest.test_case "regions_cover shadow check" `Quick test_regions_cover_shadow ] )
+    ; ( "diff scan"
+      , [ Alcotest.test_case "adversarial pairs" `Quick test_diff_oracle_adversarial
+        ; Alcotest.test_case "seeded random pairs" `Quick test_diff_oracle_random
+        ; Alcotest.test_case "equal pages allocate a constant" `Quick test_diff_allocation ] )
     ; ( "properties"
       , List.map QCheck_alcotest.to_alcotest
           [ prop_diff_patch_identity
