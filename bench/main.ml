@@ -10,6 +10,8 @@
      bench/main.exe quick      small database and relocation only
      bench/main.exe no-bech    skip the Bechamel micro-suite
      bench/main.exe btree      only the B-tree insert/delete kernels
+     bench/main.exe deref      only the Vmsim deref and resident get_ptr kernels
+     bench/main.exe diff       only the commit-time page-diff kernels
      bench/main.exe --json     also write every BENCH_*.json baseline
                                (one per Harness.Bench_json row)
 
@@ -85,6 +87,35 @@ let deref_kernel () =
       for i = 0 to 255 do
         acc := !acc + Vmsim.read_u32 vm (base + (i * 32))
       done
+    done;
+    ignore (Sys.opaque_identity !acc)
+
+(* The mapped store's hot dereference: [Store.get_ptr] on 256 objects
+   whose page is already faulted in, so every call is the resident
+   path (kind check, App_deref charge, Vmsim TLB hit). Divide ns/run by
+   256 for ns per dereference; beside [vm/deref-protected-u32] it
+   splits the store's share from Vmsim's. *)
+let get_ptr_kernel () =
+  let module Store = Quickstore.Store in
+  let server =
+    Esm.Server.create ~frames:64 ~clock:(Simclock.Clock.create ()) ~cm:Simclock.Cost_model.default ()
+  in
+  let st = Store.create_db server in
+  Store.register_class st (Schema.class_def "Node" [ ("id", Schema.F_int); ("next", Schema.F_ptr) ]);
+  let next = Store.field st ~cls:"Node" ~name:"next" in
+  let n = 256 in
+  Store.begin_txn st;
+  let cluster = Store.new_cluster st in
+  let nodes = Array.init n (fun _ -> Store.create st ~cls:"Node" ~cluster) in
+  Array.iteri (fun i p -> Store.set_ptr st p next nodes.((i + 1) mod n)) nodes;
+  Store.commit st;
+  Store.begin_txn st;
+  (* One pass faults the pages in; every measured call is resident. *)
+  Array.iter (fun p -> ignore (Store.get_ptr st p next)) nodes;
+  fun () ->
+    let acc = ref 0 in
+    for i = 0 to n - 1 do
+      acc := !acc + Store.get_ptr st (Array.unsafe_get nodes i) next
     done;
     ignore (Sys.opaque_identity !acc)
 
@@ -240,6 +271,7 @@ let bechamel_suite () =
     ; Test.make ~name:"index_insert" (Staged.stage index_insert_kernel)
     ; Test.make ~name:"btree_insert" (Staged.stage btree_insert_kernel)
     ; Test.make ~name:"btree_delete" (Staged.stage btree_delete_kernel)
+    ; Test.make ~name:"store/get_ptr-resident" (Staged.stage (get_ptr_kernel ()))
     ; Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ())) ]
     @ diff_kernels ()
   in
@@ -568,11 +600,14 @@ let () =
   let with_bechamel = not (List.mem "no-bech" argv) in
   let emit_json = List.mem "--json" argv in
   if List.mem "deref" argv then begin
-    (* Fast path for the EXPERIMENTS.md wall-clock numbers: only the
-       Vmsim dereference kernel, no database build. *)
+    (* Fast path for the EXPERIMENTS.md wall-clock numbers: the Vmsim
+       dereference kernel and the store's resident get_ptr, no OO7
+       database build. *)
     let open Bechamel in
-    section "Bechamel deref kernel (protected no-fault access path)";
-    run_bechamel [ Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ())) ];
+    section "Bechamel deref kernels (protected no-fault access path, resident get_ptr)";
+    run_bechamel
+      [ Test.make ~name:"vm/deref-protected-u32" (Staged.stage (deref_kernel ()))
+      ; Test.make ~name:"store/get_ptr-resident" (Staged.stage (get_ptr_kernel ())) ];
     exit 0
   end;
   if List.mem "diff" argv then begin

@@ -884,9 +884,10 @@ let log_update t ~txn ~page ~off ~old_data ~new_data =
   serve @@ fun () ->
   check_active t txn "log_update";
   Qs_trace.charge t.clock Simclock.Category.Log_write t.cm.Simclock.Cost_model.log_record_cpu_us;
-  let lsn = Wal.append t.wal (Wal.Update { txn; page; off; old_data; new_data }) in
+  let record = Wal.Update { txn; page; off; old_data; new_data } in
+  let lsn = Wal.append t.wal record in
   (match Hashtbl.find_opt t.txn_updates txn with
-   | Some l -> l := Wal.Update { txn; page; off; old_data; new_data } :: !l
+   | Some l -> l := record :: !l
    | None -> ());
   lsn
 

@@ -56,7 +56,9 @@ module Make (S : Store_intf.S) = struct
     ch_entry : S.field array;
   }
 
-  type db = { st : S.t; params : Params.t; f : fields }
+  (* [clk] and [cm] are the store's, fetched once: the per-node charges
+     below then make no functor call to find them. *)
+  type db = { st : S.t; params : Params.t; f : fields; clk : Clock.t; cm : CM.t }
 
   let fields_of st =
     let f cls name = S.field st ~cls ~name in
@@ -100,14 +102,15 @@ module Make (S : Store_intf.S) = struct
     ; ch_next = f "Chunk" "next"
     ; ch_entry = Array.init Classes.chunk_capacity (fun i -> f "Chunk" (Printf.sprintf "e%d" i)) }
 
+  let make_db st params =
+    { st; params; f = fields_of st; clk = S.clock st; cm = S.cost_model st }
+
   (* --- application CPU charges (Table 7 categories) --- *)
 
-  let cm db = S.cost_model db.st
-  let clk db = S.clock db.st
-  let malloc db = Qs_trace.charge (clk db) Category.App_malloc (cm db).CM.malloc_us
-  let setop db = Qs_trace.charge (clk db) Category.App_set (cm db).CM.set_op_us
-  let trav db = Qs_trace.charge (clk db) Category.App_traverse (cm db).CM.traverse_node_us
-  let char_work db = Qs_trace.charge (clk db) Category.App_work (cm db).CM.char_work_us
+  let malloc db = Qs_trace.charge db.clk Category.App_malloc db.cm.CM.malloc_us
+  let setop db = Qs_trace.charge db.clk Category.App_set db.cm.CM.set_op_us
+  let trav db = Qs_trace.charge db.clk Category.App_traverse db.cm.CM.traverse_node_us
+  let char_work db = Qs_trace.charge db.clk Category.App_work db.cm.CM.char_work_us
 
   (* --- chunked collections --- *)
 
@@ -170,7 +173,7 @@ module Make (S : Store_intf.S) = struct
     S.index_create st Classes.idx_part_id ~klen:Classes.part_id_klen;
     S.index_create st Classes.idx_build_date ~klen:Classes.build_date_klen;
     S.index_create st Classes.idx_doc_title ~klen:Classes.doc_title_klen;
-    let db = { st; params; f = fields_of st } in
+    let db = make_db st params in
     let f = db.f in
     let date () = Qs_util.Rng.range rng params.Params.min_atomic_date params.Params.max_atomic_date in
     let commit_batch () =
@@ -323,11 +326,22 @@ module Make (S : Store_intf.S) = struct
     db
 
   (* Attach to an existing database (schema already persisted). *)
-  let attach st params = { st; params; f = fields_of st }
+  let attach st params = make_db st params
 
   (* ================================================================ *)
   (* Traversals                                                       *)
   (* ================================================================ *)
+
+  (* The per-composite visited set, keyed by [S.ptr_id]. The generic
+     [Hashtbl] would hash and compare through C calls per edge; an
+     odd-multiplier hash keeps the work in OCaml, and its high bits
+     spread the aligned ids over the buckets. *)
+  module Visited = Hashtbl.Make (struct
+    type t = int
+
+    let equal (a : int) b = a = b
+    let hash x = (x * 0x2545F4914F6CDD1D) lsr 29
+  end)
 
   (* Depth-first search of one composite part's graph of atomic parts.
      [visit] controls how much of the graph the traversal touches (T6
@@ -342,7 +356,7 @@ module Make (S : Store_intf.S) = struct
        scalar-field dereference with no cursor. *)
     if visit = `All then malloc db;
     trav db;
-    let visited = Hashtbl.create 64 in
+    let visited = Visited.create 64 in
     let count = ref 0 in
     let root = S.get_ptr db.st comp db.f.cp_root in
     (match visit with
@@ -356,7 +370,7 @@ module Make (S : Store_intf.S) = struct
          malloc db;
          trav db;
          setop db;
-         Hashtbl.replace visited (S.ptr_id db.st part) ();
+         Visited.replace visited (S.ptr_id db.st part) ();
          incr count;
          (match update_scope with
           | `All -> update part
@@ -367,7 +381,7 @@ module Make (S : Store_intf.S) = struct
            if not (S.is_null conn) then begin
              let target = S.get_ptr db.st conn db.f.cn_to in
              setop db;
-             if not (Hashtbl.mem visited (S.ptr_id db.st target)) then dfs target
+             if not (Visited.mem visited (S.ptr_id db.st target)) then dfs target
            end
          done
        in

@@ -17,8 +17,12 @@ let set_u32 b off v =
    lib/util). The caller must guarantee [0 <= off && off + 4 <=
    Bytes.length b]. *)
 let unsafe_get_u32 b off =
-  let u8 i = Char.code (Bytes.unsafe_get b i) in
-  u8 off lor (u8 (off + 1) lsl 8) lor (u8 (off + 2) lsl 16) lor (u8 (off + 3) lsl 24)
+  (* Four loads written out: a local [u8] helper would close over [b]
+     and allocate a closure on every call. *)
+  Char.code (Bytes.unsafe_get b off)
+  lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
+  lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
 
 let unsafe_set_u32 b off v =
   Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));

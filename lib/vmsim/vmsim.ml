@@ -224,39 +224,100 @@ let span_check addr len =
   if len < 0 || offset_of_addr addr + len > frame_size then
     invalid_arg "Vmsim: access crosses a frame boundary"
 
-(* Scalar accessors skip the [Bytes] bounds checks unless [checked]
-   (QSan) is set: [map] guarantees every bound buffer is exactly
-   [frame_size] bytes and [span_check]/[offset_of_addr] bound the
-   offset within the frame, so the checks can never fire. [read_bytes]/
-   [write_bytes] keep the safe [sub]/[blit] (they allocate or copy
-   anyway, so the check is not the cost). *)
+(* Scalar accessors: one fused TLB-hit body each, plus one slow
+   function per accessor that is the general path (span check, TLB
+   lookup or fault, QSan's checked bytes). Under dune's dev profile
+   ([-opaque]) no call between modules is inlined, so the hit body
+   calls nothing at all: it tests, in order, the offset bound, the TLB
+   tag, [not t.checked] and the protection, then loads or stores the
+   bytes itself. Anything else — a bad span, a negative address (its
+   [lsr] yields a frame no tag can hold), QSan's checked mode, a TLB
+   miss, a protection fault — takes the slow function, which charges
+   exactly what it always did; the hit charges nothing, as before.
 
-let read_u8 t addr =
+   The unchecked loads are sound: [map] binds only buffers of exactly
+   [frame_size] bytes and the offset bound keeps the access within the
+   frame. [read_bytes]/[write_bytes] keep the safe [sub]/[blit] (they
+   allocate or copy anyway, so the check is not the cost). *)
+
+let read_u8_slow t addr =
   let buf = resolve t addr Read in
   if t.checked then Char.code (Bytes.get buf (offset_of_addr addr))
   else Char.code (Bytes.unsafe_get buf (addr land 8191))
 
-let read_u32 t addr =
+let read_u8 t addr =
+  let frame = addr lsr 13 in
+  let i = frame land tlb_mask in
+  if Array.unsafe_get t.tlb_tags i = frame && not t.checked then
+    let m = Array.unsafe_get t.tlb_maps i in
+    match m.m_prot with
+    | Prot_read | Prot_write -> Char.code (Bytes.unsafe_get m.m_buf (addr land 8191))
+    | Prot_none -> read_u8_slow t addr
+  else read_u8_slow t addr
+
+let read_u32_slow t addr =
   span_check addr 4;
   let buf = resolve t addr Read in
   if t.checked then Qs_util.Codec.get_u32 buf (offset_of_addr addr)
   else Qs_util.Codec.unsafe_get_u32 buf (addr land 8191)
+
+let read_u32 t addr =
+  let off = addr land 8191 in
+  let frame = addr lsr 13 in
+  let i = frame land tlb_mask in
+  if off <= 8188 && Array.unsafe_get t.tlb_tags i = frame && not t.checked then
+    let m = Array.unsafe_get t.tlb_maps i in
+    match m.m_prot with
+    | Prot_read | Prot_write ->
+      let b = m.m_buf in
+      Char.code (Bytes.unsafe_get b off)
+      lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
+      lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
+    | Prot_none -> read_u32_slow t addr
+  else read_u32_slow t addr
 
 let read_bytes t addr len =
   span_check addr len;
   let buf = resolve t addr Read in
   Bytes.sub buf (offset_of_addr addr) len
 
-let write_u8 t addr v =
+let write_u8_slow t addr v =
   let buf = resolve t addr Write in
   if t.checked then Bytes.set buf (offset_of_addr addr) (Char.chr (v land 0xff))
   else Bytes.unsafe_set buf (addr land 8191) (Char.unsafe_chr (v land 0xff))
 
-let write_u32 t addr v =
+let write_u8 t addr v =
+  let frame = addr lsr 13 in
+  let i = frame land tlb_mask in
+  if Array.unsafe_get t.tlb_tags i = frame && not t.checked then
+    let m = Array.unsafe_get t.tlb_maps i in
+    match m.m_prot with
+    | Prot_write -> Bytes.unsafe_set m.m_buf (addr land 8191) (Char.unsafe_chr (v land 0xff))
+    | Prot_read | Prot_none -> write_u8_slow t addr v
+  else write_u8_slow t addr v
+
+let write_u32_slow t addr v =
   span_check addr 4;
   let buf = resolve t addr Write in
   if t.checked then Qs_util.Codec.set_u32 buf (offset_of_addr addr) v
   else Qs_util.Codec.unsafe_set_u32 buf (addr land 8191) v
+
+let write_u32 t addr v =
+  let off = addr land 8191 in
+  let frame = addr lsr 13 in
+  let i = frame land tlb_mask in
+  if off <= 8188 && Array.unsafe_get t.tlb_tags i = frame && not t.checked then
+    let m = Array.unsafe_get t.tlb_maps i in
+    match m.m_prot with
+    | Prot_write ->
+      let b = m.m_buf in
+      Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
+      Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
+      Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
+      Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
+    | Prot_read | Prot_none -> write_u32_slow t addr v
+  else write_u32_slow t addr v
 
 let write_bytes t addr data =
   span_check addr (Bytes.length data);

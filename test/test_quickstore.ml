@@ -67,6 +67,32 @@ let test_create_and_walk () =
   Alcotest.(check bool) "mapping invariants" true (Store.mapping_invariants_hold st);
   Store.commit st
 
+(* A dereference of a resident object allocates nothing: after one walk
+   faults the list in, 10k [get_ptr]/[get_int] calls each may cost at
+   most the measurement's own few words. *)
+let test_resident_deref_allocates_nothing () =
+  let _server, st = mk () in
+  build_list st ~n:20 ~per_cluster:10;
+  Store.begin_txn st;
+  ignore (walk_list st);
+  let f_id = Store.field st ~cls:"Node" ~name:"id" in
+  let f_next = Store.field st ~cls:"Node" ~name:"next" in
+  let p = Store.root st "head" in
+  let n = 10_000 in
+  let words name deref =
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      acc := !acc + deref st p
+    done;
+    let w = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !acc);
+    if w > 16.0 then Alcotest.failf "%s: %.0f minor words for %d calls" name w n
+  in
+  words "get_ptr" (fun st p -> Store.get_ptr st p f_next);
+  words "get_int" (fun st p -> Store.get_int st p f_id);
+  Store.commit st
+
 let test_cold_walk_faults () =
   let _server, st = mk () in
   build_list st ~n:200 ~per_cluster:20;
@@ -924,6 +950,8 @@ let () =
   Alcotest.run "quickstore"
     [ ( "store"
       , [ Alcotest.test_case "create and walk" `Quick test_create_and_walk
+        ; Alcotest.test_case "resident deref allocates nothing" `Quick
+            test_resident_deref_allocates_nothing
         ; Alcotest.test_case "cold walk faults" `Quick test_cold_walk_faults
         ; Alcotest.test_case "static mapping across runs" `Quick test_static_mapping_across_runs
         ; Alcotest.test_case "mapping walk pointer patterns" `Quick test_mapping_walk_patterns

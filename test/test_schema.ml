@@ -99,6 +99,16 @@ let test_category_names_unique () =
   Alcotest.(check int) "index covers all" (List.length Simclock.Category.all)
     Simclock.Category.count
 
+(* [Category.index] is the constructor's representation, so the
+   variant's declaration order is the index: pin it against [all] so a
+   reordering cannot silently file charges under another category. *)
+let test_category_index_order () =
+  List.iteri
+    (fun pos c ->
+      Alcotest.(check int) (Simclock.Category.name c) pos (Simclock.Category.index c))
+    Simclock.Category.all;
+  Alcotest.(check int) "count" (List.length Simclock.Category.all) Simclock.Category.count
+
 let prop_layout_fields_disjoint =
   QCheck.Test.make ~name:"layout fields never overlap" ~count:200
     QCheck.(list (int_bound 2))
@@ -172,7 +182,8 @@ let () =
     ; ( "simclock"
       , [ Alcotest.test_case "accumulation" `Quick test_clock_accumulation
         ; Alcotest.test_case "snapshots" `Quick test_clock_snapshots
-        ; Alcotest.test_case "category names" `Quick test_category_names_unique ] )
+        ; Alcotest.test_case "category names" `Quick test_category_names_unique
+        ; Alcotest.test_case "category index order" `Quick test_category_index_order ] )
     ; ( "properties"
       , List.map QCheck_alcotest.to_alcotest
           [ prop_layout_fields_disjoint; prop_schema_serialize_roundtrip ] ) ]

@@ -221,6 +221,128 @@ let test_u32_roundtrip_via_vm () =
   Vmsim.write_u32 vm ((4 * 8192) + 12) 0xCAFE1234;
   Alcotest.(check int) "u32" 0xCAFE1234 (Vmsim.read_u32 vm ((4 * 8192) + 12))
 
+(* --- the fused TLB-hit accessors against the general path. Each case
+   runs twice: once with the frame's TLB slot holding the frame (a hit)
+   and once with the slot holding an alias 64 frames up (a miss), so
+   both the fused body and the slow function answer it. --- *)
+
+let fast_frame = 5
+let alias_frame = fast_frame + 64
+
+let fast_setup ~hit =
+  let _clock, vm = mk () in
+  let b = Bytes.init Vmsim.frame_size (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Vmsim.map vm ~frame:fast_frame ~buf:b;
+  Vmsim.map vm ~frame:alias_frame ~buf:(buf 'x');
+  Vmsim.set_prot_free vm ~frame:fast_frame Vmsim.Prot_write;
+  Vmsim.set_prot_free vm ~frame:alias_frame Vmsim.Prot_write;
+  let prime () =
+    ignore (Vmsim.read_u8 vm (Vmsim.addr_of_frame (if hit then fast_frame else alias_frame)))
+  in
+  (vm, b, prime)
+
+let both f () = List.iter (fun hit -> f ~hit) [ true; false ]
+let base = Vmsim.addr_of_frame fast_frame
+let le32 b off = Qs_util.Codec.get_u32 b off
+
+let crosses = Invalid_argument "Vmsim: access crosses a frame boundary"
+
+let test_fast_u32_offsets ~hit =
+  let vm, b, prime = fast_setup ~hit in
+  List.iter
+    (fun off ->
+      prime ();
+      Alcotest.(check int) (Printf.sprintf "read at %d" off) (le32 b off)
+        (Vmsim.read_u32 vm (base + off));
+      prime ();
+      Vmsim.write_u32 vm (base + off) (0xA1B2C3D4 + off);
+      Alcotest.(check int) (Printf.sprintf "write at %d" off) (0xA1B2C3D4 + off) (le32 b off))
+    [ 0; 8188 ];
+  List.iter
+    (fun off ->
+      prime ();
+      Alcotest.check_raises (Printf.sprintf "read at %d" off) crosses (fun () ->
+          ignore (Vmsim.read_u32 vm (base + off)));
+      prime ();
+      Alcotest.check_raises (Printf.sprintf "write at %d" off) crosses (fun () ->
+          Vmsim.write_u32 vm (base + off) 1))
+    [ 8189; 8190; 8191 ]
+
+let test_fast_negative_addr ~hit =
+  let vm, _b, prime = fast_setup ~hit in
+  let rejects name f =
+    prime ();
+    match f () with
+    | () -> Alcotest.failf "%s: a negative address was served" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun addr ->
+      rejects "read_u8" (fun () -> ignore (Vmsim.read_u8 vm addr));
+      rejects "read_u32" (fun () -> ignore (Vmsim.read_u32 vm addr));
+      rejects "write_u8" (fun () -> Vmsim.write_u8 vm addr 1);
+      rejects "write_u32" (fun () -> Vmsim.write_u32 vm addr 1))
+    [ -4; -8192 + 8; min_int ]
+
+let test_fast_protect_all_faults ~hit =
+  let vm, b, prime = fast_setup ~hit in
+  let handled = ref 0 in
+  Vmsim.set_fault_handler vm (fun ~frame ~access:_ ->
+      incr handled;
+      Vmsim.set_prot_free vm ~frame Vmsim.Prot_read);
+  prime ();
+  Vmsim.protect_all vm;
+  Alcotest.(check int) "read through the handler" (le32 b 40) (Vmsim.read_u32 vm (base + 40));
+  Alcotest.(check int) "one fault" 1 !handled;
+  Alcotest.(check int) "then served" (le32 b 44) (Vmsim.read_u32 vm (base + 44));
+  Alcotest.(check int) "still one fault" 1 !handled
+
+let test_fast_downgrade_write_faults ~hit =
+  let vm, _b, prime = fast_setup ~hit in
+  prime ();
+  Vmsim.write_u32 vm (base + 16) 7;
+  Vmsim.write_u8 vm (base + 16) 7;
+  Vmsim.set_prot vm ~frame:fast_frame Vmsim.Prot_read;
+  prime ();
+  (match Vmsim.write_u32 vm (base + 16) 8 with
+   | () -> Alcotest.fail "write_u32 served after a downgrade"
+   | exception Vmsim.Unhandled_fault { access = Vmsim.Write; _ } -> ());
+  (match Vmsim.write_u8 vm (base + 16) 8 with
+   | () -> Alcotest.fail "write_u8 served after a downgrade"
+   | exception Vmsim.Unhandled_fault { access = Vmsim.Write; _ } -> ());
+  Alcotest.(check int) "reads still served" 7 (Vmsim.read_u32 vm (base + 16))
+
+let test_fast_checked_agrees ~hit =
+  let vm, _b, prime = fast_setup ~hit in
+  List.iter
+    (fun off ->
+      let read checked =
+        Vmsim.set_checked vm checked;
+        prime ();
+        let u32 = Vmsim.read_u32 vm (base + off) in
+        prime ();
+        (u32, Vmsim.read_u8 vm (base + off))
+      in
+      let c32, c8 = read true and u32, u8 = read false in
+      Alcotest.(check int) (Printf.sprintf "u32 at %d" off) c32 u32;
+      Alcotest.(check int) (Printf.sprintf "u8 at %d" off) c8 u8)
+    [ 0; 1; 13; 4096; 8188 ]
+
+(* A load on a resident page allocates nothing: 10k reads may cost at
+   most the measurement's own few words. *)
+let test_fast_read_allocates_nothing () =
+  let vm, _b, prime = fast_setup ~hit:true in
+  prime ();
+  let n = 10_000 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    acc := !acc + Vmsim.read_u32 vm (base + ((i land 1023) * 4))
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  if words > 16.0 then Alcotest.failf "%.0f minor words for %d reads" words n
+
 let () =
   Alcotest.run "vmsim"
     [ ( "vmsim"
@@ -240,4 +362,11 @@ let () =
         ; Alcotest.test_case "clear invalidates" `Quick test_tlb_clear_no_stale
         ; Alcotest.test_case "rebind invalidates" `Quick test_tlb_rebind_no_stale
         ; Alcotest.test_case "index aliasing" `Quick test_tlb_index_aliasing
-        ; Alcotest.test_case "checked mode roundtrip" `Quick test_checked_mode_roundtrip ] ) ]
+        ; Alcotest.test_case "checked mode roundtrip" `Quick test_checked_mode_roundtrip ] )
+    ; ( "fast path"
+      , [ Alcotest.test_case "u32 offsets" `Quick (both test_fast_u32_offsets)
+        ; Alcotest.test_case "negative address" `Quick (both test_fast_negative_addr)
+        ; Alcotest.test_case "protect_all faults" `Quick (both test_fast_protect_all_faults)
+        ; Alcotest.test_case "write after downgrade" `Quick (both test_fast_downgrade_write_faults)
+        ; Alcotest.test_case "checked agrees" `Quick (both test_fast_checked_agrees)
+        ; Alcotest.test_case "read allocates nothing" `Quick test_fast_read_allocates_nothing ] ) ]
