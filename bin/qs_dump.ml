@@ -152,10 +152,15 @@ let dump_versions server page =
     (* One small region per version, clear of the page-LSN header
        (bytes 8-15); offsets vary so the spans are distinguishable. *)
     let off = 128 + (v * 16) in
+    let old_data = Bytes.sub buf off 4 in
     for i = 0 to 3 do
       (* server-side scripted update; no VM mapping exists in the dump tool *)
       (Bytes.set [@qs_lint.allow "QS001"]) buf (off + i) (Char.chr (0x40 + v))
     done;
+    (* Logged before the ship, as a client logs: the version delta is
+       folded from the transaction's Update records. *)
+    ignore
+      (Esm.Server.log_update server ~txn ~page ~off ~old_data ~new_data:(Bytes.sub buf off 4));
     Esm.Server.write_page server ~txn ~at_commit:false page buf;
     Esm.Server.commit server ~txn
   done;

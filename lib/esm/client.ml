@@ -120,7 +120,7 @@ let cb_note_cached t page_id =
       Hashtbl.replace t.pending_recall page_id ()
     end
 
-(* Tell the server the copy is gone (eviction, discard, abort-drop);
+(* Tell the server the copy is gone (eviction, abort-drop);
    any pending recall of the page is thereby answered. *)
 let cb_note_dropped t page_id =
   match t.cb_id with
@@ -800,16 +800,6 @@ let delete_object t oid =
       Qs_util.Codec.set_u32 old_dir 4 oid.Oid.unique;
       log_update t ~page_id:oid.Oid.page ~frame ~off:dir_off ~old_data:old_dir ~new_data:new_dir;
       mark_dirty t ~frame)
-
-let discard_page t page_id =
-  match Buf_pool.lookup t.pool page_id with
-  | None -> ()
-  | Some frame ->
-    if Buf_pool.pin_count t.pool frame > 0 then invalid_arg "Client.discard_page: pinned";
-    (match t.pre_evict with Some hook -> hook ~frame ~page_id | None -> ());
-    Buf_pool.clear_dirty t.pool frame;
-    Buf_pool.evict t.pool frame;
-    cb_note_dropped t page_id
 
 let reset_cache t =
   if in_txn t then invalid_arg "Client.reset_cache: transaction active";

@@ -212,9 +212,6 @@ val update_object : t -> Oid.t -> off:int -> bytes -> unit
 
 val delete_object : t -> Oid.t -> unit
 
-(** Drop a page's frame without write-back (page deletion). *)
-val discard_page : t -> int -> unit
-
 (** {2 Cache control and callback locking} *)
 
 (** Opt into callback locking: register a recall endpoint with the

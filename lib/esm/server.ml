@@ -24,6 +24,19 @@ type counters = {
 exception Server_down
 exception Bad_txn of { op : string; txn : int }
 
+(* One active transaction's server-side state. *)
+type txn = {
+  mutable updates : Wal.record list;
+      (* newest first: the undo log for abort, and the before-images of
+         every snapshot read and version push *)
+  dirty : (int, unit) Hashtbl.t;  (* server-side pages to flush *)
+  ships : (int, unit) Hashtbl.t;
+      (* region-ship sequence numbers already applied: a retried or
+         duplicated ship RPC must not patch twice *)
+  mutable ship_us : float;  (* commit-ship time eligible for the pipeline credit *)
+  owner : int option;  (* client id (registered clients only) *)
+}
+
 type t = {
   disk : Disk.t;
   mutable wal : Wal.t;
@@ -34,9 +47,7 @@ type t = {
   cm : Simclock.Cost_model.t;
   counters : counters;
   mutable next_txn : int;
-  mutable active : (int, unit) Hashtbl.t;
-  mutable txn_updates : (int, Wal.record list ref) Hashtbl.t;  (* newest first *)
-  mutable txn_dirty : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* server-side pages to flush *)
+  mutable txns : (int, txn) Hashtbl.t;  (* the active transactions *)
   mutable index_undo : Wal.record -> unit;
   fault : Qs_fault.t;  (* Qs_fault injector shared with the disk *)
   mutable group_commit : bool;
@@ -50,11 +61,6 @@ type t = {
          transaction's pages/regions (the records were appended before
          the ships started, so the disk and the network proceed in
          parallel) *)
-  mutable txn_ships : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* per-txn set of region-ship sequence numbers already applied: a
-         retried or duplicated ship RPC must not patch twice *)
-  mutable txn_ship_us : (int, float ref) Hashtbl.t;
-      (* per-txn commit-ship time eligible for the pipeline credit *)
   (* --- callback locking (inter-transaction client caching) --- *)
   mutable next_client : int;
   mutable registered : (int, int -> recall_verdict) Hashtbl.t;
@@ -67,20 +73,14 @@ type t = {
          removed, Deferred holders still hold a conflicting lock of
          their own, so the requester blocks in [Lock_mgr] until the
          holder finishes and drops the page. *)
-  mutable txn_owner : (int, int) Hashtbl.t;  (* txn -> client id (registered clients only) *)
   mutable last_force_by : int option;
       (* owner of the force charged at [last_force]; a ride by a
          different owner is a cross-client group commit *)
   (* --- snapshot-isolation reads (MVCC version chains) --- *)
   mutable versions : Version_store.t option;
-      (* None = versioning off: every capture/push hook below is a
-         no-op, so the default configuration charges nothing and stays
+      (* None = versioning off: the commit-time push below is a no-op,
+         so the default configuration charges nothing and stays
          bit-identical to the locking-only server *)
-  mutable txn_undo : (int, (int, bytes) Hashtbl.t) Hashtbl.t;
-      (* per-txn captured pre-images: the page's committed bytes before
-         the transaction's first ship touched it, diffed at commit into
-         an undo delta. X page locks guarantee at most one in-flight
-         writer holds a baseline per page. *)
   mutable snapshots : (int, int64) Hashtbl.t;  (* snapshot id -> snapshot LSN *)
   mutable next_snapshot : int;
 }
@@ -111,23 +111,17 @@ let create_with_disk ?(frames = 4608) ?fault ~disk ~clock ~cm () =
       ; snapshot_reads = 0
       ; snapshot_deltas_applied = 0 }
   ; next_txn = 1
-  ; active = Hashtbl.create 8
-  ; txn_updates = Hashtbl.create 8
-  ; txn_dirty = Hashtbl.create 8
+  ; txns = Hashtbl.create 8
   ; index_undo = (fun _ -> ())
   ; fault
   ; group_commit = false
   ; last_force = None
   ; pipeline_commit = false
-  ; txn_ships = Hashtbl.create 8
-  ; txn_ship_us = Hashtbl.create 8
   ; next_client = 1
   ; registered = Hashtbl.create 8
   ; copies = Hashtbl.create 64
-  ; txn_owner = Hashtbl.create 8
   ; last_force_by = None
   ; versions = None
-  ; txn_undo = Hashtbl.create 8
   ; snapshots = Hashtbl.create 8
   ; next_snapshot = 1 }
 
@@ -175,20 +169,18 @@ let check_up t = if Qs_fault.halted t.fault then raise Server_down
 let serve f = Sched.atomically f
 
 (* A new transaction, or a loser restart hands back with its records. *)
-let enroll t ~txn records =
-  Hashtbl.replace t.active txn ();
-  Hashtbl.replace t.txn_updates txn (ref records);
-  Hashtbl.replace t.txn_dirty txn (Hashtbl.create 32);
+let enroll ?owner t ~txn updates =
+  Hashtbl.replace t.txns txn
+    { updates; dirty = Hashtbl.create 32; ships = Hashtbl.create 16; ship_us = 0.0; owner };
   t.next_txn <- max t.next_txn (txn + 1)
 
-let adopt_loser = enroll
+let adopt_loser t ~txn records = enroll t ~txn records
 
 let begin_txn ?client t =
   serve @@ fun () ->
   check_up t;
   let txn = t.next_txn in
-  enroll t ~txn [];
-  (match client with Some c -> Hashtbl.replace t.txn_owner txn c | None -> ());
+  enroll ?owner:client t ~txn [];
   ignore (Wal.append t.wal (Wal.Begin txn));
   txn
 
@@ -223,7 +215,8 @@ let note_cached t ~client page_id =
   if Hashtbl.mem t.registered client then begin
     let foreign = function
       | None -> false
-      | Some h -> Hashtbl.find_opt t.txn_owner h <> Some client
+      | Some h -> (
+        match Hashtbl.find_opt t.txns h with Some x -> x.owner <> Some client | None -> true)
     in
     let resource = Lock_mgr.Page_lock page_id in
     let foreign_writer =
@@ -324,17 +317,17 @@ let issue_callbacks t ?client resource mode =
       if Hashtbl.length holders = 0 then Hashtbl.remove t.copies page_id)
   | _ -> ()
 
-let is_active t txn = Hashtbl.mem t.active txn
-let active_txns t = Hashtbl.length t.active
+let active_txns t = Hashtbl.length t.txns
 
 let set_txn_age t ~txn ~age =
   serve @@ fun () ->
   check_up t;
   Lock_mgr.set_age t.locks ~txn ~age
 
+(* The active transaction's record, or [Bad_txn]. *)
 let check_active t txn op =
   check_up t;
-  if not (is_active t txn) then raise (Bad_txn { op; txn })
+  match Hashtbl.find_opt t.txns txn with Some x -> x | None -> raise (Bad_txn { op; txn })
 
 let category_of_kind = function
   | Data | Index -> Simclock.Category.Data_io
@@ -413,7 +406,7 @@ let resident_bytes t ~cat ~charge_miss page_id =
 
 let read_page t ~txn ~kind page_id dst =
   serve @@ fun () ->
-  check_active t txn "read_page";
+  ignore (check_active t txn "read_page");
   let c = t.counters in
   c.client_reads <- c.client_reads + 1;
   (match kind with
@@ -444,7 +437,7 @@ let read_page t ~txn ~kind page_id dst =
    (re-served pages become hits). *)
 let read_page_run t ~txn ~kind pages =
   serve @@ fun () ->
-  check_active t txn "read_page_run";
+  ignore (check_active t txn "read_page_run");
   let c = t.counters in
   let cat = category_of_kind kind in
   let cm = t.cm in
@@ -474,78 +467,63 @@ let read_page_run t ~txn ~kind pages =
         ]
       "ship.read_run"
 
-let note_txn_dirty t txn page_id =
-  match Hashtbl.find_opt t.txn_dirty txn with
-  | Some h -> Hashtbl.replace h page_id ()
-  | None -> ()
+let zero_page = Bytes.make Page.page_size '\000'
 
-(* Versioning: capture the page's committed pre-image at a writing
-   transaction's first ship of it. The copy is server-internal (no
-   charge, no counter, no fault draw), so with versioning off — the
-   default — nothing here runs and every existing digest is
-   unchanged. Must run before the first byte of the ship lands. *)
-let capture_baseline t txn page_id =
-  match t.versions with
-  | None -> ()
-  | Some _ ->
-    let pages =
-      match Hashtbl.find_opt t.txn_undo txn with
-      | Some h -> h
-      | None ->
-        let h = Hashtbl.create 8 in
-        Hashtbl.replace t.txn_undo txn h;
-        h
-    in
-    if not (Hashtbl.mem pages page_id) then begin
-      let b = Bytes.create Page.page_size in
-      peek_page t page_id b;
-      Hashtbl.replace pages page_id b
-    end
+(* The undo regions of transaction [x] on [page]: its Update records'
+   spans merged into ascending maximal runs, each byte carrying the
+   oldest before-image logged for it — the page as it stood before [x]
+   first wrote it. The records are newest first, so the last blit wins. *)
+let undo_regions x page =
+  let before = Bytes.create Page.page_size in
+  let covered = Bytes.make Page.page_size '\000' in
+  List.iter
+    (function
+      | Wal.Update { page = p; off; old_data; _ } when p = page ->
+        Bytes.blit old_data 0 before off (Bytes.length old_data);
+        Bytes.fill covered off (Bytes.length old_data) '\001'
+      | _ -> ())
+    x.updates;
+  (* the covered runs are where [covered] differs from a zero page *)
+  List.map
+    (fun (off, len) -> (off, Bytes.sub before off len))
+    (Qs_util.Codec.diff_regions ~old_bytes:zero_page ~new_bytes:covered ~gap:0)
 
-(* Commit-time version push: diff each captured baseline against the
-   page's committed bytes and retain the changed runs as an undo delta
-   stamped with the COMMIT record's LSN — the first point at which the
-   writes are visible, and therefore the version boundary a snapshot
-   begun mid-transaction must not cross. *)
-let push_versions t txn ~commit_lsn =
+(* Commit-time version push: each page the transaction shipped gets an
+   undo delta built from its own log records, stamped with the COMMIT
+   record's LSN — the first point at which the writes are visible, and
+   therefore the version boundary a snapshot begun mid-transaction must
+   not cross. *)
+let push_versions t x ~commit_lsn =
   match t.versions with
   | None -> ()
   | Some vs ->
-    (match Hashtbl.find_opt t.txn_undo txn with
-     | None -> ()
-     | Some pages ->
-       Hashtbl.fold (fun p b acc -> (p, b) :: acc) pages []
-       |> List.sort compare
-       |> List.iter (fun (page_id, baseline) ->
-              let current = Bytes.create Page.page_size in
-              peek_page t page_id current;
-              Version_store.push vs ~page:page_id ~baseline ~current ~commit_lsn))
+    Hashtbl.fold (fun p () acc -> p :: acc) x.dirty []
+    |> List.sort compare
+    |> List.iter (fun page ->
+           let current = Bytes.create Page.page_size in
+           peek_page t page current;
+           Version_store.push vs ~page ~regions:(undo_regions x page) ~current ~commit_lsn)
 
 (* Commit-ship time eligible for the pipeline credit (tracked only when
-   pipelining is on, so the default path allocates nothing). *)
-let note_ship_us t txn us =
-  if t.pipeline_commit then
-    match Hashtbl.find_opt t.txn_ship_us txn with
-    | Some r -> r := !r +. us
-    | None -> Hashtbl.replace t.txn_ship_us txn (ref us)
+   pipelining is on). *)
+let note_ship_us t x us = if t.pipeline_commit then x.ship_us <- x.ship_us +. us
 
 let write_page t ~txn ~at_commit page_id src =
   serve @@ fun () ->
-  check_active t txn "write_page";
+  let x = check_active t txn "write_page" in
   Qs_fault.hit t.fault
     (if at_commit then Qs_fault.Point.Commit_ship_page else Qs_fault.Point.Evict_steal_write);
   t.counters.client_writes <- t.counters.client_writes + 1;
   let cm = t.cm in
   if at_commit then begin
     Qs_trace.charge t.clock Simclock.Category.Commit_flush cm.Simclock.Cost_model.commit_flush_page_us;
-    note_ship_us t txn cm.Simclock.Cost_model.commit_flush_page_us
+    note_ship_us t x cm.Simclock.Cost_model.commit_flush_page_us
   end
   else Qs_trace.charge t.clock Simclock.Category.Data_io cm.Simclock.Cost_model.net_ship_us;
   if Qs_trace.enabled t.clock then
     Qs_trace.instant t.clock ~cat:"esm"
       ~args:[ Qs_trace.A_int ("page", page_id) ]
       (if at_commit then "ship.commit" else "ship.steal");
-  capture_baseline t txn page_id;
   let f =
     match Buf_pool.lookup t.pool page_id with
     | Some f -> f
@@ -557,7 +535,7 @@ let write_page t ~txn ~at_commit page_id src =
   Bytes.blit src 0 (Buf_pool.frame_bytes t.pool f) 0 Page.page_size;
   Buf_pool.mark_dirty t.pool f;
   Buf_pool.set_ref_bit t.pool f true;
-  note_txn_dirty t txn page_id
+  Hashtbl.replace x.dirty page_id ()
 
 (* Diff-shipping commit: patch [regions] — (offset, bytes) pairs diffed
    by the client against its recovery-buffer snapshot — onto the
@@ -579,7 +557,7 @@ let write_page t ~txn ~at_commit page_id src =
    byte-for-byte. *)
 let apply_regions t ~txn ~seq ?check page_id regions =
   serve @@ fun () ->
-  check_active t txn "apply_regions";
+  let x = check_active t txn "apply_regions" in
   Qs_fault.hit t.fault Qs_fault.Point.Commit_ship_region;
   let cm = t.cm in
   let nregions = List.length regions in
@@ -596,22 +574,13 @@ let apply_regions t ~txn ~seq ?check page_id regions =
     cm.Simclock.Cost_model.ship_region_us;
   Qs_trace.charge t.clock Simclock.Category.Commit_flush
     (float_of_int nbytes *. cm.Simclock.Cost_model.ship_byte_us);
-  note_ship_us t txn
+  note_ship_us t x
     ((float_of_int nregions *. cm.Simclock.Cost_model.ship_region_us)
     +. (float_of_int nbytes *. cm.Simclock.Cost_model.ship_byte_us));
   let f, _hit = resident_bytes t ~cat:Simclock.Category.Commit_flush ~charge_miss:true page_id in
   let b = Buf_pool.frame_bytes t.pool f in
-  let applied =
-    match Hashtbl.find_opt t.txn_ships txn with
-    | Some seqs -> seqs
-    | None ->
-      let seqs = Hashtbl.create 16 in
-      Hashtbl.replace t.txn_ships txn seqs;
-      seqs
-  in
-  let duplicate = Hashtbl.mem applied seq in
+  let duplicate = Hashtbl.mem x.ships seq in
   if not duplicate then begin
-    capture_baseline t txn page_id;
     (* commit.region_torn: the apply dies partway — only a seeded
        prefix of the regions lands in the (volatile) server pool, and
        the sequence number is never recorded, so a restarted commit
@@ -624,13 +593,13 @@ let apply_regions t ~txn ~seq ?check page_id regions =
           regions;
         Buf_pool.mark_dirty t.pool f);
     List.iter (fun (off, data) -> Bytes.blit data 0 b off (Bytes.length data)) regions;
-    Hashtbl.replace applied seq ();
+    Hashtbl.replace x.ships seq ();
     t.counters.client_region_ships <- t.counters.client_region_ships + 1;
     t.counters.region_bytes_shipped <- t.counters.region_bytes_shipped + nbytes
   end;
   Buf_pool.mark_dirty t.pool f;
   Buf_pool.set_ref_bit t.pool f true;
-  note_txn_dirty t txn page_id;
+  Hashtbl.replace x.dirty page_id ();
   if Qs_trace.enabled t.clock then
     Qs_trace.instant t.clock ~cat:"esm"
       ~args:
@@ -656,7 +625,7 @@ let alloc_page t =
 
 let lock ?client t ~txn resource mode =
   serve @@ fun () ->
-  check_active t txn "lock";
+  ignore (check_active t txn "lock");
   (* Charge only when the request actually goes to the lock manager
      (repeat requests on held locks are free client-side checks). *)
   let already =
@@ -723,12 +692,11 @@ let set_versioning ?max_deltas t on =
   serve @@ fun () ->
   check_up t;
   if on then begin
-    if Hashtbl.length t.active > 0 then invalid_arg "Server.set_versioning: transactions active";
+    if Hashtbl.length t.txns > 0 then invalid_arg "Server.set_versioning: transactions active";
     t.versions <- Some (Version_store.create ?max_deltas ~enable_lsn:(Wal.last_lsn t.wal) ())
   end
   else begin
     t.versions <- None;
-    Hashtbl.reset t.txn_undo;
     Hashtbl.reset t.snapshots
   end
 
@@ -832,8 +800,7 @@ let verify_snapshot_page t ~snapshot page_id dst =
    path — the reader never joins a waits-for graph, never gets
    wounded, and never triggers a callback recall. The page is
    materialized as of the snapshot LSN from the newest committed image
-   (an in-flight writer's captured baseline when one exists) by
-   applying undo deltas, all charged to [Category.Snapshot_read]. *)
+   by applying undo deltas, all charged to [Category.Snapshot_read]. *)
 let read_page_at t ~snap ?(verify = false) page_id dst =
   serve @@ fun () ->
   check_up t;
@@ -850,17 +817,25 @@ let read_page_at t ~snap ?(verify = false) page_id dst =
   Qs_fault.hit t.fault Qs_fault.Point.Snapshot_materialize;
   let cm = t.cm in
   let cat = Simclock.Category.Snapshot_read in
-  (* In-flight writer's captured baseline, else the authoritative
-     server bytes (installed in the pool like any other read; the miss
-     is a real disk read, charged to the snapshot category). *)
-  let pending = ref [] in
-  Hashtbl.iter
-    (fun txn pages ->
-      if Hashtbl.mem pages page_id then pending := txn :: !pending)
-    t.txn_undo;
+  (* A page an in-flight writer has shipped holds uncommitted bytes:
+     its committed image is the uncharged server copy rolled back
+     through the writer's own log records (X page locks allow at most
+     one such writer; the lowest id is taken for determinism). Else the
+     authoritative server bytes, installed in the pool like any other
+     read; the miss is a real disk read, charged to the snapshot
+     category. *)
+  let writers =
+    Hashtbl.fold
+      (fun txn x acc -> if Hashtbl.mem x.dirty page_id then (txn, x) :: acc else acc)
+      t.txns []
+  in
   let stable =
-    match List.sort compare !pending with
-    | txn :: _ -> Hashtbl.find (Hashtbl.find t.txn_undo txn) page_id
+    match List.sort (fun (a, _) (b, _) -> compare a b) writers with
+    | (_, x) :: _ ->
+      let b = Bytes.create Page.page_size in
+      peek_page t page_id b;
+      List.iter (fun (off, r) -> Bytes.blit r 0 b off (Bytes.length r)) (undo_regions x page_id);
+      b
     | [] ->
       let f, hit = resident_bytes t ~cat ~charge_miss:true page_id in
       if hit then t.counters.server_pool_hits <- t.counters.server_pool_hits + 1;
@@ -882,27 +857,23 @@ let read_page_at t ~snap ?(verify = false) page_id dst =
 
 let log_update t ~txn ~page ~off ~old_data ~new_data =
   serve @@ fun () ->
-  check_active t txn "log_update";
+  let x = check_active t txn "log_update" in
   Qs_trace.charge t.clock Simclock.Category.Log_write t.cm.Simclock.Cost_model.log_record_cpu_us;
   let record = Wal.Update { txn; page; off; old_data; new_data } in
   let lsn = Wal.append t.wal record in
-  (match Hashtbl.find_opt t.txn_updates txn with
-   | Some l -> l := record :: !l
-   | None -> ());
+  x.updates <- record :: x.updates;
   lsn
 
 let log_index t ~txn record =
   serve @@ fun () ->
-  check_active t txn "log_index";
+  let x = check_active t txn "log_index" in
   (match record with
    | Wal.Index_insert _ | Wal.Index_delete _ -> ()
    | Wal.Begin _ | Wal.Update _ | Wal.Commit _ | Wal.Abort _ ->
      invalid_arg "Server.log_index: not an index record");
   Qs_trace.charge t.clock Simclock.Category.Log_write t.cm.Simclock.Cost_model.log_record_cpu_us;
   let lsn = Wal.append t.wal record in
-  (match Hashtbl.find_opt t.txn_updates txn with
-   | Some l -> l := record :: !l
-   | None -> ());
+  x.updates <- record :: x.updates;
   lsn
 
 let set_index_undo t f = t.index_undo <- f
@@ -977,51 +948,36 @@ let force_log ?(overlap_us = 0.0) ?committer t =
   if Qs_trace.enabled t.clock then
     Qs_trace.instant t.clock ~cat:"esm" ~args:[ Qs_trace.A_int ("pages", pages) ] "wal.force"
 
-let flush_txn_pages ?point t txn =
-  match Hashtbl.find_opt t.txn_dirty txn with
-  | None -> ()
-  | Some h ->
-    Hashtbl.iter
-      (fun page_id () ->
-        match Buf_pool.lookup t.pool page_id with
-        | Some f ->
-          (match point with Some p -> Qs_fault.hit t.fault p | None -> ());
-          disk_write_retrying t page_id (Buf_pool.frame_bytes t.pool f);
-          Buf_pool.clear_dirty t.pool f
-        | None -> ())
-      h
+let flush_txn_pages ?point t x =
+  Hashtbl.iter
+    (fun page_id () ->
+      match Buf_pool.lookup t.pool page_id with
+      | Some f ->
+        (match point with Some p -> Qs_fault.hit t.fault p | None -> ());
+        disk_write_retrying t page_id (Buf_pool.frame_bytes t.pool f);
+        Buf_pool.clear_dirty t.pool f
+      | None -> ())
+    x.dirty
 
 let finish_txn t txn =
   Lock_mgr.release_all t.locks ~txn;
-  Hashtbl.remove t.active txn;
-  Hashtbl.remove t.txn_updates txn;
-  Hashtbl.remove t.txn_dirty txn;
-  Hashtbl.remove t.txn_ships txn;
-  Hashtbl.remove t.txn_ship_us txn;
-  Hashtbl.remove t.txn_owner txn;
-  Hashtbl.remove t.txn_undo txn
+  Hashtbl.remove t.txns txn
 
 let commit t ~txn =
   serve @@ fun () ->
-  check_active t txn "commit";
+  let x = check_active t txn "commit" in
   Qs_fault.hit t.fault Qs_fault.Point.Commit_pre_log;
   let commit_lsn = Wal.append t.wal (Wal.Commit txn) in
   Qs_fault.hit t.fault Qs_fault.Point.Commit_pre_flush;
-  let overlap_us =
-    if t.pipeline_commit then
-      match Hashtbl.find_opt t.txn_ship_us txn with Some r -> !r | None -> 0.0
-    else 0.0
-  in
-  force_log ~overlap_us ?committer:(Hashtbl.find_opt t.txn_owner txn) t;
-  flush_txn_pages ~point:Qs_fault.Point.Commit_mid_flush t txn;
+  force_log ~overlap_us:(if t.pipeline_commit then x.ship_us else 0.0) ?committer:x.owner t;
+  flush_txn_pages ~point:Qs_fault.Point.Commit_mid_flush t x;
   Qs_fault.hit t.fault Qs_fault.Point.Commit_post_flush;
-  push_versions t txn ~commit_lsn;
+  push_versions t x ~commit_lsn;
   finish_txn t txn
 
 let abort t ~txn =
   serve @@ fun () ->
-  check_active t txn "abort";
-  let updates = match Hashtbl.find_opt t.txn_updates txn with Some l -> !l | None -> [] in
+  let x = check_active t txn "abort" in
   (* Apply before-images newest-first, logging each as a compensation
      update so that restart redo replays the undo as well. *)
   List.iter
@@ -1041,7 +997,7 @@ let abort t ~txn =
            header, which [Page.attach] would reject. *)
         Qs_util.Codec.set_i64 b 8 clr_lsn;
         Buf_pool.mark_dirty t.pool f;
-        note_txn_dirty t txn page
+        Hashtbl.replace x.dirty page ()
       | Wal.Index_insert { root; key; oid; _ } ->
         ignore (Wal.append t.wal (Wal.Index_delete { txn; root; key; oid }));
         t.index_undo (Wal.Index_delete { txn; root; key; oid })
@@ -1049,17 +1005,17 @@ let abort t ~txn =
         ignore (Wal.append t.wal (Wal.Index_insert { txn; root; key; oid }));
         t.index_undo (Wal.Index_insert { txn; root; key; oid })
       | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ())
-    updates;
+    x.updates;
   ignore (Wal.append t.wal (Wal.Abort txn));
-  force_log ?committer:(Hashtbl.find_opt t.txn_owner txn) t;
-  flush_txn_pages t txn;
+  force_log ?committer:x.owner t;
+  flush_txn_pages t x;
   finish_txn t txn
 
 (* Checkpoint: make everything durable and drop the log. Requires no
    active transactions. *)
 let checkpoint t =
   serve @@ fun () ->
-  if Hashtbl.length t.active > 0 then invalid_arg "Server.checkpoint: transactions active";
+  if Hashtbl.length t.txns > 0 then invalid_arg "Server.checkpoint: transactions active";
   Buf_pool.iter_frames
     (fun ~frame ~page_id:_ ->
       Qs_fault.hit t.fault Qs_fault.Point.Checkpoint_mid_flush;
@@ -1077,11 +1033,7 @@ let crash t =
   t.pool <- Buf_pool.create ~frames:t.frames;
   t.wal <- Wal.survive_crash t.wal;
   t.locks <- Lock_mgr.create ();
-  t.active <- Hashtbl.create 8;
-  t.txn_updates <- Hashtbl.create 8;
-  t.txn_dirty <- Hashtbl.create 8;
-  t.txn_ships <- Hashtbl.create 8;
-  t.txn_ship_us <- Hashtbl.create 8;
+  t.txns <- Hashtbl.create 8;
   t.last_force <- None;
   t.last_force_by <- None;
   (* The copy table and recall endpoints are volatile: a restarted
@@ -1090,15 +1042,13 @@ let crash t =
      before caching across transactions again. *)
   t.registered <- Hashtbl.create 8;
   t.copies <- Hashtbl.create 64;
-  t.txn_owner <- Hashtbl.create 8;
-  (* Version chains, captured baselines and snapshot registrations are
+  (* Version chains and snapshot registrations are
      volatile: a crash drops them all, and versioning itself turns off
      until the harness re-enables it after recovery (the chains must
      anchor at the recovered server's log position, not the pre-crash
      one). Snapshot clients discover the loss as an unknown-snapshot
      error and retry at a fresh LSN. *)
   t.versions <- None;
-  t.txn_undo <- Hashtbl.create 8;
   t.snapshots <- Hashtbl.create 8;
   t.next_snapshot <- 1;
   (* The failure is taken: the restarted server may serve again. *)

@@ -68,7 +68,9 @@ val set_txn_age : t -> txn:int -> age:int -> unit
 (** [commit t ~txn] logs the commit, forces the log (charged to
     Commit_flush), writes the transaction's dirty server-side pages to
     disk, and releases locks. The client must have shipped its dirty
-    pages first via {!write_page}. *)
+    pages first via {!write_page}. With versioning on, each shipped
+    page then gets an undo delta folded from the transaction's own
+    [Update] records (uncharged). *)
 val commit : t -> txn:int -> unit
 
 (** [abort t ~txn] undoes the transaction's logged records newest
@@ -79,7 +81,9 @@ val commit : t -> txn:int -> unit
 val abort : t -> txn:int -> unit
 
 (** [adopt_loser t ~txn records] registers a restart loser as active,
-    with its update and index records newest first, for {!abort}.
+    with its update and index records newest first, for {!abort}: the
+    same transaction record {!begin_txn} creates, so the loser's
+    records are its undo log exactly as a live transaction's are.
     Later {!begin_txn} ids stay above [txn]. *)
 val adopt_loser : t -> txn:int -> Wal.record list -> unit
 
@@ -189,7 +193,7 @@ val register_client : t -> (int -> recall_verdict) -> int
 val note_cached : t -> client:int -> int -> bool
 
 (** [note_dropped t ~client page_id] removes one copy-table entry
-    (client-initiated drop: eviction, abort, discard). *)
+    (client-initiated drop: eviction, abort). *)
 val note_dropped : t -> client:int -> int -> unit
 
 (** Remove every copy-table entry for [client] (cache reset). *)
@@ -207,9 +211,10 @@ val peek_page : t -> int -> bytes -> unit
 
 (** {2 Snapshot-isolation reads (MVCC version chains)}
 
-    With versioning on, every commit retains the precise byte runs it
-    changed — the same regions the diff-ship path computes — as an
-    {e undo} delta on a bounded per-page chain ({!Version_store}).
+    With versioning on, every commit retains the before-images of the
+    byte runs it logged — folded from its own [Update] records, the
+    same undo log {!abort} reads — as an {e undo} delta on a bounded
+    per-page chain ({!Version_store}).
     A read-only transaction takes a snapshot LSN at begin and reads
     pages materialized as of that LSN with {b no page locks anywhere on
     the path}: snapshot readers never enter the lock manager's
@@ -240,9 +245,11 @@ val begin_snapshot : t -> int * int64
 val end_snapshot : t -> snap:int -> unit
 
 (** [read_page_at t ~snap ?verify page_id dst] materializes the page
-    as of the snapshot's LSN: newest committed image (an in-flight
-    writer's captured pre-image when one exists), rolled back by undo
-    deltas. Charged to [Category.Snapshot_read]; acquires no locks.
+    as of the snapshot's LSN: newest committed image, rolled back by
+    undo deltas. When an active transaction has shipped the page, the
+    newest committed image is the server's copy rolled back through
+    that writer's own [Update] records (uncharged, so a read costs the
+    same with or without a writer in flight). Charged to [Category.Snapshot_read]; acquires no locks.
     Raises {!Version_store.Snapshot_too_old} when the chain has been
     trimmed or bounded past the snapshot — the client retries at a
     fresh LSN. [verify] (QSan) replays the WAL from the chain's base

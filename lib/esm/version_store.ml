@@ -2,10 +2,11 @@
 
 (* Per-page version chains for snapshot-isolation reads.
 
-   The commit path already computes precise modified-byte regions
-   (diff-ship); this store keeps those regions around as *undo* deltas:
-   each committed update of a versioned page pushes one delta holding
-   the pre-commit bytes of exactly the offsets the commit changed.
+   The committing transaction's Update records already hold the
+   before-image of every byte it logged; this store keeps those as
+   *undo* deltas: each committed update of a versioned page pushes one
+   delta holding the pre-commit bytes of exactly the spans the commit
+   logged.
    Applying the newest delta to the current stable image rolls the page
    back to the previous committed version, the next delta to the one
    before, and so on — the MOD/undo-ordering shape from the persistent
@@ -88,13 +89,6 @@ let delta_bytes d = List.fold_left (fun a (_, b) -> a + Bytes.length b) 0 d.regi
 let bytes_retained t =
   Hashtbl.fold (fun _ c a -> a + c.bytes_retained) t.chains 0
 
-(* Undo regions: maximal runs where [current] differs from [baseline],
-   payload taken from [baseline]. *)
-let undo_regions ~baseline ~current =
-  List.map
-    (fun (off, len) -> (off, Bytes.sub baseline off len))
-    (Qs_util.Codec.diff_regions ~old_bytes:baseline ~new_bytes:current ~gap:0)
-
 let drop_oldest c =
   match List.rev c.deltas with
   | [] -> ()
@@ -102,8 +96,9 @@ let drop_oldest c =
     c.deltas <- List.rev rev_rest;
     c.bytes_retained <- c.bytes_retained - delta_bytes oldest
 
-let push t ~page ~baseline ~current ~commit_lsn =
-  let regions = undo_regions ~baseline ~current in
+let apply regions dst = List.iter (fun (off, b) -> Bytes.blit b 0 dst off (Bytes.length b)) regions
+
+let push t ~page ~regions ~current ~commit_lsn =
   let prev = page_version t page in
   Hashtbl.replace t.stamps page commit_lsn;
   if regions <> [] then begin
@@ -111,13 +106,15 @@ let push t ~page ~baseline ~current ~commit_lsn =
       match Hashtbl.find_opt t.chains page with
       | Some c -> c
       | None ->
+        let base_image = Bytes.copy current in
+        apply regions base_image;
         let c =
           { cpage = page
-          ; base_image = Bytes.copy baseline
+          ; base_image
           ; base_lsn = prev
           ; stable_lsn = prev
           ; deltas = []
-          ; bytes_retained = Bytes.length baseline }
+          ; bytes_retained = Bytes.length base_image }
         in
         Hashtbl.add t.chains page c;
         c
@@ -135,8 +132,8 @@ let push t ~page ~baseline ~current ~commit_lsn =
 
 (* [materialize t ~page ~snapshot ~stable dst] writes into [dst] the
    page image as of [snapshot]. [stable] must be the newest *committed*
-   image of the page (the in-flight writer's captured baseline when one
-   exists, else the server's current bytes); its version is the chain
+   image of the page (with an in-flight writer, the server's bytes
+   rolled back through its log records); its version is the chain
    head. Returns the number of deltas applied. *)
 let materialize t ~page ~snapshot ~stable dst =
   Bytes.blit stable 0 dst 0 (Bytes.length stable);
@@ -155,7 +152,7 @@ let materialize t ~page ~snapshot ~stable dst =
      List.iter
        (fun d ->
          if !version > snapshot then begin
-           List.iter (fun (off, b) -> Bytes.blit b 0 dst off (Bytes.length b)) d.regions;
+           apply d.regions dst;
            version := d.to_lsn;
            incr applied
          end)

@@ -1,7 +1,8 @@
 (** Per-page version chains for snapshot-isolation reads.
 
     The server retains, for each recently updated page, a bounded chain
-    of {e undo} deltas in the diff-ship region format: the newest delta
+    of {e undo} deltas in the diff-ship region format, folded from the
+    committing transaction's own log records: the newest delta
     rolls the current committed image back one commit, the next one
     commit further, and so on down to a full base image kept for QSan's
     WAL-replay cross-check. Versions are named by commit-record LSNs —
@@ -55,17 +56,20 @@ val bytes_retained : t -> int
 
 val delta_bytes : delta -> int
 
-(** [push t ~page ~baseline ~current ~commit_lsn] records one committed
-    update: [baseline] is the page image before the committing
-    transaction's first write, [current] the image it committed. The
-    changed byte runs are captured from [baseline] as an undo delta.
-    A commit that left the page byte-identical pushes nothing (but
-    still advances the page's version stamp). *)
-val push : t -> page:int -> baseline:bytes -> current:bytes -> commit_lsn:int64 -> unit
+(** [push t ~page ~regions ~current ~commit_lsn] records one committed
+    update: [current] is the image the committing transaction left,
+    [regions] its undo delta — ascending, non-overlapping
+    [(offset, bytes)] runs holding each byte as it stood before the
+    transaction, folded from the transaction's own [Update] records. A
+    new chain's base image is [current] with [regions] applied. A
+    commit with no logged bytes on the page ([regions = []]) pushes
+    nothing but still advances the page's version stamp. *)
+val push : t -> page:int -> regions:(int * bytes) list -> current:bytes -> commit_lsn:int64 -> unit
 
 (** [materialize t ~page ~snapshot ~stable dst] writes the page as of
     [snapshot] into [dst]. [stable] must be the newest {e committed}
-    image (an in-flight writer's captured baseline when one exists).
+    image: with an in-flight writer, the server's copy rolled back
+    through that writer's [Update] records.
     Returns the number of deltas applied. Raises {!Snapshot_too_old}
     when the chain no longer reaches back to [snapshot]. *)
 val materialize : t -> page:int -> snapshot:int64 -> stable:bytes -> bytes -> int

@@ -125,6 +125,115 @@ let test_too_old_exhaustion () =
     Alcotest.(check int) "both attempts consumed" 1 (Client.snapshot_retries reader);
     Alcotest.(check bool) "snapshot closed on failure" false (Client.in_snapshot reader)
 
+(* --- in-flight writers: the stable image comes from their log records --- *)
+
+let frame_of writer oid =
+  match Client.frame_of_page writer oid.Esm.Oid.page with
+  | Some f -> f
+  | None -> Alcotest.fail "page not cached by the writer"
+
+(* A writer updates one object twice, then its dirty page is stolen
+   mid-transaction: the server's copy holds the second (uncommitted)
+   version. A snapshot must roll the page back through both records to
+   the committed bytes, where the older before-image wins — rolling
+   back only the newer record would expose the first update. *)
+let test_stolen_page_in_flight () =
+  let server, writer, reader, oids = mk_world ~nobj:2 () in
+  Server.set_versioning server true;
+  Client.with_txn writer (fun () ->
+      Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:1));
+  Client.begin_txn writer;
+  Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:2);
+  Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:3);
+  let writes = (Server.counters server).Server.client_writes in
+  Client.evict_page writer ~frame:(frame_of writer oids.(0));
+  Alcotest.(check int) "the dirty page was shipped" (writes + 1)
+    (Server.counters server).Server.client_writes;
+  Client.with_snapshot_txn reader ~frames:8 ~sanitize:true (fun () ->
+      Alcotest.(check bytes) "snapshot sees the last committed bytes" (value ~idx:0 ~version:1)
+        (Client.snapshot_read_object reader oids.(0)));
+  Client.commit writer;
+  Client.with_snapshot_txn reader ~frames:8 ~sanitize:true (fun () ->
+      Alcotest.(check bytes) "a fresh snapshot sees the second update" (value ~idx:0 ~version:3)
+        (Client.snapshot_read_object reader oids.(0)))
+
+let chain_shape server page =
+  Option.map
+    (fun c -> (List.length c.Version_store.deltas, c.Version_store.stable_lsn))
+    (Server.version_chain server page)
+
+let test_abort_leaves_chain () =
+  let server, writer, reader, oids = mk_world ~nobj:2 () in
+  Server.set_versioning server true;
+  Client.with_txn writer (fun () ->
+      Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:1));
+  let page0 = oids.(0).Esm.Oid.page and page1 = oids.(1).Esm.Oid.page in
+  let before = chain_shape server page0 in
+  Alcotest.(check bool) "the committed update made a chain" true (before <> None);
+  Client.begin_txn writer;
+  Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:2);
+  Client.update_object writer oids.(1) ~off:0 (value ~idx:1 ~version:2);
+  Client.evict_page writer ~frame:(frame_of writer oids.(0));
+  Client.evict_page writer ~frame:(frame_of writer oids.(1));
+  Client.abort writer;
+  Alcotest.(check bool) "chain of the shipped page unchanged" true
+    (chain_shape server page0 = before);
+  Alcotest.(check bool) "no chain for the page with none" true (chain_shape server page1 = None);
+  Client.with_snapshot_txn reader ~frames:8 ~sanitize:true (fun () ->
+      Alcotest.(check bytes) "object 0 as committed" (value ~idx:0 ~version:1)
+        (Client.snapshot_read_object reader oids.(0));
+      Alcotest.(check bytes) "object 1 as committed" (value ~idx:1 ~version:0)
+        (Client.snapshot_read_object reader oids.(1)))
+
+(* A crash forgets every transaction: once versioning is back on, no
+   transaction record left over from before the crash may pose as the
+   in-flight writer of a page (it would roll a later commit back). *)
+let test_crash_forgets_writers () =
+  let server, writer, reader, oids = mk_world ~nobj:2 () in
+  Server.set_versioning server true;
+  Client.begin_txn writer;
+  Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:1);
+  Client.evict_page writer ~frame:(frame_of writer oids.(0));
+  Alcotest.(check int) "one writer in flight" 1 (Server.active_txns server);
+  Client.crash writer;
+  Client.crash reader;
+  Server.crash server;
+  Alcotest.(check int) "no transaction after the crash" 0 (Server.active_txns server);
+  ignore (Recovery.restart ~sanitize:true server);
+  Alcotest.(check int) "none after restart" 0 (Server.active_txns server);
+  Server.set_versioning server true;
+  Client.with_txn writer (fun () ->
+      Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:2));
+  Client.with_snapshot_txn reader ~frames:8 ~sanitize:true (fun () ->
+      Alcotest.(check bytes) "snapshot sees the post-crash commit" (value ~idx:0 ~version:2)
+        (Client.snapshot_read_object reader oids.(0)))
+
+(* QSan's snapshot-replay oracle: a commit that ships a byte no Update
+   record covers, on a page that already has a chain, leaves a
+   materialized page the WAL replay cannot reproduce. *)
+let test_qsan_unlogged_byte () =
+  let server, writer, reader, oids = mk_world ~nobj:1 () in
+  Server.set_versioning server true;
+  Client.with_txn writer (fun () ->
+      Client.update_object writer oids.(0) ~off:0 (value ~idx:0 ~version:1));
+  let page = oids.(0).Esm.Oid.page in
+  Alcotest.(check bool) "page has a chain" true (Server.version_chain server page <> None);
+  Client.with_txn writer (fun () ->
+      let frame = Client.fix_page writer ~kind:Server.Data page in
+      Client.lock_page writer page Esm.Lock_mgr.Exclusive;
+      let b = Client.page_bytes writer ~frame in
+      let off = Esm.Page.page_size / 2 in
+      Bytes.set b off (Char.chr ((Char.code (Bytes.get b off) + 1) land 0xff));
+      Client.mark_dirty writer ~frame;
+      Client.unfix_page writer ~frame);
+  match
+    Client.with_snapshot_txn reader ~frames:8 ~sanitize:true (fun () ->
+        Client.snapshot_read_object reader oids.(0))
+  with
+  | _ -> Alcotest.fail "expected QSan to reject the unlogged byte"
+  | exception Qs_util.Sanitizer.Sanitizer_violation v ->
+    Alcotest.(check string) "check" "snapshot-replay" v.Qs_util.Sanitizer.check
+
 (* --- crash recovery at the snapshot crash points --- *)
 
 let crash_exn = function
@@ -314,7 +423,11 @@ let () =
         ; Alcotest.test_case "Snapshot_too_old retried at fresh LSN" `Quick test_too_old_retry
         ; Alcotest.test_case "retry exhaustion surfaces" `Quick test_too_old_exhaustion
         ; Alcotest.test_case "crash at snapshot.materialize" `Quick test_crash_at_materialize
-        ; Alcotest.test_case "crash at snapshot.trim" `Quick test_crash_at_trim ] )
+        ; Alcotest.test_case "crash at snapshot.trim" `Quick test_crash_at_trim
+        ; Alcotest.test_case "stolen page of an in-flight writer" `Quick test_stolen_page_in_flight
+        ; Alcotest.test_case "abort leaves the chain" `Quick test_abort_leaves_chain
+        ; Alcotest.test_case "crash forgets in-flight writers" `Quick test_crash_forgets_writers
+        ; Alcotest.test_case "QSan: unlogged byte in a commit" `Quick test_qsan_unlogged_byte ] )
     ; ( "store"
       , [ Alcotest.test_case "with_snapshot_read scan" `Quick test_store_snapshot_read
         ; Alcotest.test_case "writes rejected in a body" `Quick test_store_snapshot_write_rejected ] )
